@@ -48,7 +48,7 @@ print(f"matched VSWR band-wide: {matched.vswr.min():.4f} .. {matched.vswr.max():
 # The catch: the resistor forms a divider with the radiation resistance,
 # so only a sliver of the accepted power actually reaches the antenna.
 
-split = power_split_report(antenna, series)
+split = power_split_report(antenna, series, matched)
 i_mid = int(np.argmin(np.abs(f - f_mid)))
 print(f"power reaching the antenna at mid-band: {split.antenna_fraction[i_mid]:.1%}")
 print(f"burned in the series resistor:          {split.resistor_fraction[i_mid]:.1%}")
@@ -70,6 +70,6 @@ print(f"L-section VSWR at design:  {l_matched.at(f_mid):.6f}")
 print(f"L-section VSWR band-wide:  up to {l_matched.vswr.max():.1f} "
       "(narrowband, as expected)")
 
-l_split = power_split_report(antenna, low_pass)
+l_split = power_split_report(antenna, low_pass, l_matched)
 print(f"power reaching the antenna through the L-section: "
       f"{l_split.antenna_fraction[i_mid]:.1%}")

@@ -9,163 +9,21 @@ received-signal field logs.
 
 __version__ = "0.1.0"
 
-from .impedance import (
-    FIXTURE_MODES,
-    REFLECTION,
-    SERIES_THROUGH,
-    SHUNT_THROUGH,
-    ImpedanceProfile,
-    SeriesRlcModel,
-    SingularityError,
-    impedance_at,
-    impedance_from_s11,
-    impedance_profile,
-    reflection_coefficient,
-    series_impedance_from_s21,
-    shunt_impedance_from_s21,
-    synthesize_series_rlc,
-)
-from .matching import (
-    L_SECTION,
-    SERIES_RESISTOR,
-    TOPOLOGIES,
-    VSWR_CAP,
-    MatchingNetwork,
-    PowerSplit,
-    VswrProfile,
-    apply_match,
-    design_l_section,
-    design_series_resistive_match,
-    power_split_report,
-    vswr_profile,
-)
-from .metrics import (
-    REACTANCE_EPSILON,
-    CapacitorMetrics,
-    ResonanceEstimates,
-    dissipation_factor_profile,
-    low_impedance_bandwidth,
-    metrics_report,
-    resonant_frequency,
-)
-from .radiation import (
-    ELEMENT_KINDS,
-    HERTZIAN_DIPOLE,
-    ISOTROPIC,
-    SPEED_OF_LIGHT,
-    ArrayLayout,
-    ElementModel,
-    Lobe,
-    RadiationPattern,
-    directivity,
-    evaluate_pattern,
-    find_lobes,
-    gain,
-    make_grid,
-    polar_cut,
-)
-from .rssi import (
-    RSSI_UNKNOWN,
-    AtLogParseError,
-    ComparisonReport,
-    RssiDataset,
-    RssiSample,
-    WelchResult,
-    check_dbm_mapping,
-    compare_datasets,
-    dbm_to_rssi,
-    format_p_value,
-    parse_at_csq_log,
-    parse_rssi_csv,
-    rssi_to_dbm,
-    welch_t_test,
-)
-from .touchstone import (
-    ENCODINGS,
-    UNIT_SCALE,
-    NetworkData,
-    TouchstoneFormat,
-    TouchstoneParseError,
-    parse_touchstone,
-    validate_passivity,
-    write_touchstone,
-)
+from . import impedance, matching, metrics, radiation, rssi, touchstone
+from .impedance import *  # noqa: F403
+from .matching import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .radiation import *  # noqa: F403
+from .rssi import *  # noqa: F403
+from .touchstone import *  # noqa: F403
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
     "__version__",
-    # touchstone
-    "NetworkData",
-    "TouchstoneFormat",
-    "TouchstoneParseError",
-    "parse_touchstone",
-    "write_touchstone",
-    "validate_passivity",
-    "ENCODINGS",
-    "UNIT_SCALE",
-    # impedance
-    "FIXTURE_MODES",
-    "REFLECTION",
-    "SERIES_THROUGH",
-    "SHUNT_THROUGH",
-    "ImpedanceProfile",
-    "SeriesRlcModel",
-    "SingularityError",
-    "impedance_from_s11",
-    "series_impedance_from_s21",
-    "shunt_impedance_from_s21",
-    "reflection_coefficient",
-    "impedance_profile",
-    "impedance_at",
-    "synthesize_series_rlc",
-    # metrics
-    "REACTANCE_EPSILON",
-    "CapacitorMetrics",
-    "ResonanceEstimates",
-    "dissipation_factor_profile",
-    "resonant_frequency",
-    "low_impedance_bandwidth",
-    "metrics_report",
-    # matching
-    "SERIES_RESISTOR",
-    "L_SECTION",
-    "TOPOLOGIES",
-    "VSWR_CAP",
-    "MatchingNetwork",
-    "VswrProfile",
-    "PowerSplit",
-    "design_series_resistive_match",
-    "design_l_section",
-    "apply_match",
-    "vswr_profile",
-    "power_split_report",
-    # radiation
-    "SPEED_OF_LIGHT",
-    "ISOTROPIC",
-    "HERTZIAN_DIPOLE",
-    "ELEMENT_KINDS",
-    "ElementModel",
-    "ArrayLayout",
-    "RadiationPattern",
-    "Lobe",
-    "make_grid",
-    "evaluate_pattern",
-    "directivity",
-    "gain",
-    "polar_cut",
-    "find_lobes",
-    # rssi
-    "RSSI_UNKNOWN",
-    "AtLogParseError",
-    "RssiSample",
-    "RssiDataset",
-    "parse_at_csq_log",
-    "parse_rssi_csv",
-    "rssi_to_dbm",
-    "dbm_to_rssi",
-    "check_dbm_mapping",
-    "WelchResult",
-    "welch_t_test",
-    "ComparisonReport",
-    "compare_datasets",
-    "format_p_value",
+    *touchstone.__all__,
+    *impedance.__all__,
+    *metrics.__all__,
+    *matching.__all__,
+    *radiation.__all__,
+    *rssi.__all__,
 ]

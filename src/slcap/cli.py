@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,7 @@ from .radiation import (
     make_grid,
     polar_cut,
 )
+from .report import num, report_text
 from .rssi import (
     AtLogParseError,
     compare_datasets,
@@ -93,39 +94,19 @@ class RunConfig:
     reactance_epsilon_ohm: float = REACTANCE_EPSILON
 
     def __post_init__(self):
-        for name in (
-            "z0_ohm",
-            "theta_step_deg",
-            "phi_step_deg",
-            "df_threshold",
-            "z_threshold_ohm",
-            "lobe_db_down",
-            "reactance_epsilon_ohm",
-        ):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise InputError(f"config value {name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not (value > 0 and math.isfinite(value)):
+                raise InputError(f"config value {f.name} must be positive")
         if self.fixture not in FIXTURE_MODES:
             raise InputError(f"config value fixture must be one of {FIXTURE_MODES}")
 
 
-_CONFIG_FLOAT_KEYS = (
-    "z0_ohm",
-    "theta_step_deg",
-    "phi_step_deg",
-    "df_threshold",
-    "z_threshold_ohm",
-    "lobe_db_down",
-    "reactance_epsilon_ohm",
-)
-_CONFIG_STR_KEYS = ("fixture", "out_dir")
-
-
 def load_config(path: str | Path) -> RunConfig:
     """Read a plain ``key = value`` config file; unknown keys are rejected."""
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     values: dict[str, object] = {}
-    text = Path(path).read_text()
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    for line_number, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -133,153 +114,127 @@ def load_config(path: str | Path) -> RunConfig:
             raise InputError(f"{path}: line {line_number}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _CONFIG_FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise InputError(
-                    f"{path}: line {line_number}: {key} needs a number, got {value!r}"
-                ) from None
-        elif key in _CONFIG_STR_KEYS:
-            values[key] = value
-        else:
+        if key not in defaults:
             raise InputError(f"{path}: line {line_number}: unknown key {key!r}")
+        if not isinstance(defaults[key], float):
+            values[key] = value
+            continue
+        try:
+            values[key] = float(value)
+        except ValueError:
+            raise InputError(
+                f"{path}: line {line_number}: {key} needs a number, got {value!r}"
+            ) from None
     return RunConfig(**values)
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the ``--config`` file, then the flags (each flag's dest is its key)."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    if args.z0 is not None:
-        overrides["z0_ohm"] = args.z0
-    if args.fixture is not None:
-        overrides["fixture"] = args.fixture
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
-    for attr, key in (
-        ("theta_step", "theta_step_deg"),
-        ("phi_step", "phi_step_deg"),
-        ("df_threshold", "df_threshold"),
-        ("z_threshold", "z_threshold_ohm"),
-        ("lobe_db", "lobe_db_down"),
-    ):
-        if getattr(args, attr, None) is not None:
-            overrides[key] = getattr(args, attr)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in fields(RunConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    return replace(cfg, **overrides)
 
 
 # ---------------------------------------------------------------------------
 # CSV and report emission
 
 
-def _num(v) -> str:
-    return f"{float(v):.9g}"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns under ``header``; numpy arrays are printed by ``num``."""
+    cells = [map(num, c) if isinstance(c, np.ndarray) else c for c in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(zip(*cells))
+
+
+def _magnitude(z: np.ndarray) -> np.ndarray:
+    # Scalar abs, not np.abs: numpy's vectorised complex modulus can differ in
+    # the last bit, which would move the .9g text of some rows.
+    return np.array([abs(v) for v in z], dtype=float)
+
+
+def _db_below_peak(values: np.ndarray) -> np.ndarray:
+    """10 log10(values / max(values)); zero intensity reads -inf."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(values / values.max())
 
 
 def write_impedance_csv(path: Path, profile: ImpedanceProfile) -> None:
-    rows = (
-        (_num(f), _num(z.real), _num(z.imag), _num(abs(z)))
-        for f, z in zip(profile.frequencies_hz, profile.z)
-    )
-    _write_csv(path, ["freq_hz", "re_z_ohm", "im_z_ohm", "mag_z_ohm"], rows)
+    z = profile.z
+    columns = [profile.frequencies_hz, z.real, z.imag, _magnitude(z)]
+    _write_csv(path, ["freq_hz", "re_z_ohm", "im_z_ohm", "mag_z_ohm"], columns)
 
 
 def write_metrics_csv(path: Path, metrics) -> None:
-    rows = (
-        (_num(f), _num(r), _num(x), _num(d), _num(e), _num(q))
-        for f, r, x, d, e, q in zip(
-            metrics.frequencies_hz,
-            metrics.esr_ohm,
-            metrics.reactance_ohm,
-            metrics.df,
-            metrics.efficiency,
-            metrics.q,
-        )
-    )
-    _write_csv(path, ["freq_hz", "esr_ohm", "reactance_ohm", "df", "efficiency", "q"], rows)
+    columns = [metrics.frequencies_hz, metrics.esr_ohm, metrics.reactance_ohm,
+               metrics.df, metrics.efficiency, metrics.q]
+    _write_csv(path, ["freq_hz", "esr_ohm", "reactance_ohm", "df", "efficiency", "q"], columns)
 
 
 def write_vswr_csv(path: Path, vswr) -> None:
-    rows = (
-        (_num(f), _num(g.real), _num(g.imag), _num(abs(g)), _num(s))
-        for f, g, s in zip(vswr.frequencies_hz, vswr.gamma, vswr.vswr)
-    )
-    _write_csv(path, ["freq_hz", "re_gamma", "im_gamma", "mag_gamma", "vswr"], rows)
+    g = vswr.gamma
+    columns = [vswr.frequencies_hz, g.real, g.imag, _magnitude(g), vswr.vswr]
+    _write_csv(path, ["freq_hz", "re_gamma", "im_gamma", "mag_gamma", "vswr"], columns)
 
 
 def write_pattern_csv(path: Path, pattern) -> None:
-    u_max = pattern.u.max()
-    with np.errstate(divide="ignore"):
-        u_db = 10.0 * np.log10(pattern.u / u_max)
-    rows = (
-        (
-            _num(math.degrees(pattern.theta_rad[i])),
-            _num(math.degrees(pattern.phi_rad[j])),
-            _num(pattern.u[i, j]),
-            _num(u_db[i, j]),
-        )
-        for i in range(pattern.theta_rad.size)
-        for j in range(pattern.phi_rad.size)
-    )
-    _write_csv(path, ["theta_deg", "phi_deg", "u", "u_db"], rows)
+    n_theta, n_phi = pattern.u.shape
+    columns = [
+        np.repeat(np.degrees(pattern.theta_rad), n_phi),
+        np.tile(np.degrees(pattern.phi_rad), n_theta),
+        pattern.u.ravel(),
+        _db_below_peak(pattern.u).ravel(),
+    ]
+    _write_csv(path, ["theta_deg", "phi_deg", "u", "u_db"], columns)
 
 
 def write_cut_csv(path: Path, angles_rad: np.ndarray, values: np.ndarray) -> None:
-    peak = values.max()
-    with np.errstate(divide="ignore"):
-        u_db = 10.0 * np.log10(values / peak)
-    rows = (
-        (_num(math.degrees(a)), _num(d)) for a, d in zip(angles_rad, u_db)
-    )
-    _write_csv(path, ["theta_deg", "u_db"], rows)
+    _write_csv(path, ["theta_deg", "u_db"], [np.degrees(angles_rad), _db_below_peak(values)])
 
 
 def write_lobes_csv(path: Path, lobes) -> None:
-    rows = (
-        (
-            _num(math.degrees(lobe.angle_rad)),
-            _num(lobe.level),
-            _num(lobe.level_db),
-            "main" if lobe.is_main else "minor",
-        )
-        for lobe in lobes
-    )
-    _write_csv(path, ["angle_deg", "level", "level_db", "kind"], rows)
+    columns = [
+        np.degrees([lobe.angle_rad for lobe in lobes]),
+        np.array([lobe.level for lobe in lobes], dtype=float),
+        np.array([lobe.level_db for lobe in lobes], dtype=float),
+        ["main" if lobe.is_main else "minor" for lobe in lobes],
+    ]
+    _write_csv(path, ["angle_deg", "level", "level_db", "kind"], columns)
 
 
 def write_rssi_csv(path: Path, dataset) -> None:
-    rows = (
-        (
-            s.timestamp.isoformat(),
-            str(s.rssi),
-            _num(rssi_to_dbm(s.rssi)) if s.known else "nan",
-        )
-        for s in dataset.samples
-    )
-    _write_csv(path, ["timestamp", "rssi", "dbm"], rows)
+    samples = dataset.samples
+    columns = [
+        [s.timestamp.isoformat() for s in samples],
+        [str(s.rssi) for s in samples],
+        np.array([rssi_to_dbm(s.rssi) if s.known else math.nan for s in samples]),
+    ]
+    _write_csv(path, ["timestamp", "rssi", "dbm"], columns)
 
 
-def _emit_report(path: Path, rows: list[tuple[str, str]]) -> str:
-    text = "\n".join(f"{key} = {value}" for key, value in rows) + "\n"
+def _emit_report(path: Path, rows: list[tuple[str, str]]) -> None:
+    """Write the ``key = value`` report to ``path`` and echo it to stdout."""
+    text = report_text(rows)
     path.write_text(text)
-    return text
+    print(text, end="")
+
+
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _read_input(path: str) -> str:
-    p = Path(path)
-    if not p.is_file():
+    if not Path(path).is_file():
         raise InputError(f"no such file: {path}")
-    return p.read_text()
+    return _read_text(path)
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +267,17 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     rows = [
         ("n_points", str(profile.n_points)),
         ("fixture", cfg.fixture),
-        ("resonance_reactance_zero_hz", _opt_num(res.reactance_zero_hz)),
-        ("resonance_min_magnitude_hz", _opt_num(res.min_magnitude_hz)),
-        ("resonant_frequency_hz", _opt_num(metrics.resonant_frequency_hz)),
-        ("bandwidth_low_hz", _opt_num(metrics.bandwidth_hz and metrics.bandwidth_hz[0])),
-        ("bandwidth_high_hz", _opt_num(metrics.bandwidth_hz and metrics.bandwidth_hz[1])),
-        ("z_threshold_ohm", _num(cfg.z_threshold_ohm)),
-        ("df_threshold", _num(cfg.df_threshold)),
-        ("fraction_df_below", _num(metrics.fraction_df_below)),
-        ("fraction_df_undefined", _num(metrics.fraction_df_undefined)),
+        ("resonance_reactance_zero_hz", num(res.reactance_zero_hz)),
+        ("resonance_min_magnitude_hz", num(res.min_magnitude_hz)),
+        ("resonant_frequency_hz", num(metrics.resonant_frequency_hz)),
+        ("bandwidth_low_hz", num(metrics.bandwidth_hz and metrics.bandwidth_hz[0])),
+        ("bandwidth_high_hz", num(metrics.bandwidth_hz and metrics.bandwidth_hz[1])),
+        ("z_threshold_ohm", num(cfg.z_threshold_ohm)),
+        ("df_threshold", num(cfg.df_threshold)),
+        ("fraction_df_below", num(metrics.fraction_df_below)),
+        ("fraction_df_undefined", num(metrics.fraction_df_undefined)),
     ]
-    print(_emit_report(out / "analyze_report.txt", rows), end="")
+    _emit_report(out / "analyze_report.txt", rows)
     if args.svg:
         svg = line_plot_svg(
             profile.frequencies_hz,
@@ -332,10 +287,6 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
         )
         (out / "impedance.svg").write_text(svg)
     return 0
-
-
-def _opt_num(v) -> str:
-    return "none" if v is None else _num(v)
 
 
 def cmd_match(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -360,7 +311,7 @@ def cmd_match(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     matched_profile = apply_match(profile, network)
     matched = vswr_profile(matched_profile, z0=cfg.z0_ohm)
-    split = power_split_report(profile, network, z0=cfg.z0_ohm)
+    split = power_split_report(profile, network, matched)
 
     write_vswr_csv(out / "vswr_unmatched.csv", unmatched)
     write_vswr_csv(out / "vswr_matched.csv", matched)
@@ -368,40 +319,40 @@ def cmd_match(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     rows = [
         ("topology", network.topology),
-        ("f_design_hz", _num(args.f_design)),
-        ("z0_ohm", _num(cfg.z0_ohm)),
+        ("f_design_hz", num(args.f_design)),
+        ("z0_ohm", num(cfg.z0_ohm)),
     ]
     if network.topology == SERIES_RESISTOR:
-        rows.append(("series_r_ohm", _num(network.series_r_ohm)))
+        rows.append(("series_r_ohm", num(network.series_r_ohm)))
     else:
         rows.append(("variant", network.variant))
         for net in networks:
             tag = net.variant.replace("-", "_")
             rows.extend(
                 [
-                    (f"{tag}.series_x_ohm", _num(net.series_x_ohm)),
-                    (f"{tag}.shunt_x_ohm", _num(net.shunt_x_ohm)),
-                    (f"{tag}.series_l_h", _opt_num(net.series_l_h)),
-                    (f"{tag}.series_c_f", _opt_num(net.series_c_f)),
-                    (f"{tag}.shunt_l_h", _opt_num(net.shunt_l_h)),
-                    (f"{tag}.shunt_c_f", _opt_num(net.shunt_c_f)),
+                    (f"{tag}.series_x_ohm", num(net.series_x_ohm)),
+                    (f"{tag}.shunt_x_ohm", num(net.shunt_x_ohm)),
+                    (f"{tag}.series_l_h", num(net.series_l_h)),
+                    (f"{tag}.series_c_f", num(net.series_c_f)),
+                    (f"{tag}.shunt_l_h", num(net.shunt_l_h)),
+                    (f"{tag}.shunt_c_f", num(net.shunt_c_f)),
                 ]
             )
     rows.extend(
         [
-            ("vswr_unmatched_at_f_design", _num(unmatched.at(args.f_design))),
-            ("vswr_matched_at_f_design", _num(matched.at(args.f_design))),
+            ("vswr_unmatched_at_f_design", num(unmatched.at(args.f_design))),
+            ("vswr_matched_at_f_design", num(matched.at(args.f_design))),
             (
                 "antenna_fraction_at_f_design",
-                _num(np.interp(args.f_design, f, split.antenna_fraction)),
+                num(np.interp(args.f_design, f, split.antenna_fraction)),
             ),
             (
                 "mismatch_loss_db_at_f_design",
-                _num(np.interp(args.f_design, f, split.mismatch_loss_db)),
+                num(np.interp(args.f_design, f, split.mismatch_loss_db)),
             ),
         ]
     )
-    print(_emit_report(out / "match_report.txt", rows), end="")
+    _emit_report(out / "match_report.txt", rows)
     if args.svg:
         svg = line_plot_svg(
             f,
@@ -433,41 +384,34 @@ def _layout_from_file(path: str) -> ArrayLayout:
         spec = doc["element"]
         if not isinstance(spec, dict):
             raise InputError(f"{path}: element must be a JSON object")
-        kwargs = {}
-        if "kind" in spec:
-            kwargs["kind"] = spec["kind"]
-        if "axis" in spec:
-            kwargs["axis"] = tuple(spec["axis"])
-        if "footprint_mm" in spec:
-            kwargs["footprint_mm"] = tuple(spec["footprint_mm"])
         extra = spec.keys() - {"kind", "axis", "footprint_mm"}
         if extra:
             raise InputError(f"{path}: unknown element keys: {', '.join(sorted(extra))}")
         try:
-            element = ElementModel(**kwargs)
-        except (ValueError, TypeError) as exc:
+            element = ElementModel(**{k: v if k == "kind" else tuple(v) for k, v in spec.items()})
+        except TypeError:
+            raise InputError(f"{path}: element axis and footprint_mm must be number lists") from None
+        except ValueError as exc:
             raise InputError(f"{path}: {exc}") from None
 
-    positions = doc["positions"]
-    weights = doc.get("weights")
+    positions, weights = doc["positions"], doc.get("weights")
+    if not isinstance(positions, list):
+        raise InputError(f"{path}: positions must be a list of [x, y, z] triples")
     if weights is None:
         weights = [1.0] * len(positions)
-    parsed_weights = []
-    for w in weights:
-        if isinstance(w, (int, float)):
-            parsed_weights.append(complex(w))
-        elif isinstance(w, list) and len(w) == 2:
-            parsed_weights.append(complex(w[0], w[1]))
-        else:
-            raise InputError(f"{path}: weights must be numbers or [re, im] pairs")
+    if not isinstance(weights, list) or not all(
+        isinstance(w, (int, float)) or (isinstance(w, list) and len(w) == 2) for w in weights
+    ):
+        raise InputError(f"{path}: weights must be numbers or [re, im] pairs")
     try:
         return ArrayLayout(
             positions_m=np.asarray(positions, dtype=float),
-            weights=np.asarray(parsed_weights, dtype=complex),
+            weights=np.asarray([complex(*w) if isinstance(w, list) else complex(w)
+                                for w in weights]),
             frequency_hz=float(doc["frequency_hz"]),
             element=element,
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -475,7 +419,14 @@ def cmd_pattern(args: argparse.Namespace, cfg: RunConfig) -> int:
     layout = _layout_from_file(args.layout)
     if not 0.0 <= args.efficiency <= 1.0:
         raise InputError(f"--efficiency must be within [0, 1], got {args.efficiency:g}")
-    theta, phi = make_grid(cfg.theta_step_deg, cfg.phi_step_deg)
+    if not math.isfinite(args.phi_cut_deg):
+        raise InputError(f"--phi-cut-deg must be finite, got {args.phi_cut_deg:g}")
+    try:
+        theta, phi = make_grid(cfg.theta_step_deg, cfg.phi_step_deg)
+    except ValueError as exc:
+        raise InputError(
+            f"theta_step_deg {cfg.theta_step_deg:g}, phi_step_deg {cfg.phi_step_deg:g}: {exc}"
+        ) from None
     pattern = evaluate_pattern(layout, theta, phi)
     d = directivity(pattern)
     g = gain(d, args.efficiency)
@@ -489,16 +440,16 @@ def cmd_pattern(args: argparse.Namespace, cfg: RunConfig) -> int:
     write_lobes_csv(out / "lobes.csv", lobes)
 
     rows = [
-        ("frequency_hz", _num(layout.frequency_hz)),
+        ("frequency_hz", num(layout.frequency_hz)),
         ("n_elements", str(layout.n_elements)),
         ("element_kind", layout.element.kind),
-        ("theta_step_deg", _num(cfg.theta_step_deg)),
-        ("phi_step_deg", _num(cfg.phi_step_deg)),
-        ("phi_cut_deg", _num(args.phi_cut_deg)),
-        ("directivity", _num(d)),
-        ("efficiency", _num(args.efficiency)),
-        ("gain", _num(g)),
-        ("main_lobe_threshold_db", _num(-cfg.lobe_db_down)),
+        ("theta_step_deg", num(cfg.theta_step_deg)),
+        ("phi_step_deg", num(cfg.phi_step_deg)),
+        ("phi_cut_deg", num(args.phi_cut_deg)),
+        ("directivity", num(d)),
+        ("efficiency", num(args.efficiency)),
+        ("gain", num(g)),
+        ("main_lobe_threshold_db", num(-cfg.lobe_db_down)),
         ("n_lobes", str(len(lobes))),
         ("n_main_lobes", str(sum(1 for lobe in lobes if lobe.is_main))),
     ]
@@ -507,14 +458,11 @@ def cmd_pattern(args: argparse.Namespace, cfg: RunConfig) -> int:
         rows.append(
             (f"lobe.{i}", f"{math.degrees(lobe.angle_rad):.3f} deg {lobe.level_db:.3f} dB {kind}")
         )
-    print(_emit_report(out / "pattern_report.txt", rows), end="")
+    _emit_report(out / "pattern_report.txt", rows)
     if args.svg:
-        peak = values.max()
-        with np.errstate(divide="ignore"):
-            u_db = 10.0 * np.log10(values / peak)
         svg = line_plot_svg(
             np.degrees(angles),
-            [("cut", u_db)],
+            [("cut", _db_below_peak(values))],
             xlabel="angle (deg)",
             ylabel="u (dB rel. peak)",
         )
@@ -537,14 +485,14 @@ def _parse_claimed(pairs: list[str] | None) -> list[tuple[int, float]]:
 
 def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
     parse = parse_at_csq_log if args.format == "at" else parse_rssi_csv
-    try:
-        novel = parse(_read_input(args.novel_log), antenna="novel")
-    except AtLogParseError as exc:
-        raise InputError(f"{args.novel_log}: {exc}") from None
-    try:
-        baseline = parse(_read_input(args.baseline_log), antenna="baseline")
-    except AtLogParseError as exc:
-        raise InputError(f"{args.baseline_log}: {exc}") from None
+
+    def load(path: str, antenna: str):
+        try:
+            return parse(_read_input(path), antenna=antenna)
+        except AtLogParseError as exc:
+            raise InputError(f"{path}: {exc}") from None
+
+    novel, baseline = load(args.novel_log, "novel"), load(args.baseline_log, "baseline")
 
     report = compare_datasets(
         novel,
@@ -556,9 +504,9 @@ def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     write_rssi_csv(out / "rssi_novel.csv", novel)
     write_rssi_csv(out / "rssi_baseline.csv", baseline)
-    _write_csv(out / "comparison.csv", ["key", "value"], report.to_rows())
-    (out / "comparison.txt").write_text(report.to_text())
-    print(report.to_text(), end="")
+    rows = report.to_rows()
+    _write_csv(out / "comparison.csv", ["key", "value"], zip(*rows))
+    _emit_report(out / "comparison.txt", rows)
     if args.svg:
         known = [s for s in novel.samples if s.known]
         if known:
@@ -580,9 +528,9 @@ def _sweep(spec: str) -> np.ndarray:
         start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError("sweep must be start:stop:points") from None
-    if not (0 < start < stop) or points < 2:
+    if not (0 < start < stop < math.inf) or points < 2:
         raise argparse.ArgumentTypeError(
-            "sweep needs 0 < start < stop and at least 2 points"
+            "sweep needs finite 0 < start < stop and at least 2 points"
         )
     return np.linspace(start, stop, points)
 
@@ -601,9 +549,9 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
         ("written", str(out_path)),
         ("fixture", cfg.fixture),
         ("n_points", str(net.n_points)),
-        ("model_resonance_hz", _opt_num(model.resonant_frequency_hz)),
+        ("model_resonance_hz", num(model.resonant_frequency_hz)),
     ]
-    print("\n".join(f"{k} = {v}" for k, v in rows))
+    print(report_text(rows), end="")
     return 0
 
 
@@ -619,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", help="key = value settings file")
     parser.add_argument("--out-dir", help="directory for output files (default .)")
-    parser.add_argument("--z0", type=float, help="system impedance in ohms (default 50)")
+    parser.add_argument("--z0", dest="z0_ohm", metavar="Z0", type=float,
+                        help="system impedance in ohms (default 50)")
     parser.add_argument(
         "--fixture", choices=FIXTURE_MODES, help="impedance extraction convention"
     )
@@ -630,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="impedance profile and loss metrics from a Touchstone file")
     p.add_argument("s_file")
     p.add_argument("--df-threshold", type=float, help="DF band-fraction threshold")
-    p.add_argument("--z-threshold", type=float, help="|Z| bandwidth threshold in ohms")
+    p.add_argument("--z-threshold", dest="z_threshold_ohm", metavar="Z_THRESHOLD",
+                   type=float, help="|Z| bandwidth threshold in ohms")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("match", help="design a matching network and evaluate VSWR")
@@ -653,9 +603,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", required=True, help="JSON layout file")
     p.add_argument("--phi-cut-deg", type=float, default=0.0)
     p.add_argument("--efficiency", type=float, default=1.0)
-    p.add_argument("--theta-step", type=float, help="theta grid step in degrees")
-    p.add_argument("--phi-step", type=float, help="phi grid step in degrees")
-    p.add_argument("--lobe-db", type=float, help="main-lobe threshold, dB below peak")
+    p.add_argument("--theta-step", dest="theta_step_deg", metavar="THETA_STEP",
+                   type=float, help="theta grid step in degrees")
+    p.add_argument("--phi-step", dest="phi_step_deg", metavar="PHI_STEP",
+                   type=float, help="phi grid step in degrees")
+    p.add_argument("--lobe-db", dest="lobe_db_down", metavar="LOBE_DB",
+                   type=float, help="main-lobe threshold, dB below peak")
     p.set_defaults(func=cmd_pattern)
 
     p = sub.add_parser("rssi", help="compare two field logs (novel vs baseline)")

@@ -94,35 +94,51 @@ class ImpedanceProfile:
         return self.frequencies_hz.size
 
 
+def _deembed(s, z0: float, mode: str):
+    """Device impedance from the fixture's s11 (reflection) or s21 (through).
+
+    Works elementwise on arrays and on scalars; a pole gives inf or nan.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if mode == REFLECTION:
+            return z0 * (1.0 + s) / (1.0 - s)
+        if mode == SERIES_THROUGH:
+            return 2.0 * z0 * (1.0 - s) / s
+        return (z0 / 2.0) * s / (1.0 - s)
+
+
+def _reflection(z, z0: float):
+    """Gamma = (z - z0) / (z + z0), elementwise; z = -z0 gives inf or nan."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (z - z0) / (z + z0)
+
+
 def impedance_from_s11(s11: complex, z0: float = 50.0) -> complex:
     """Reflection view: Z = z0 (1 + s11) / (1 - s11)."""
-    den = 1.0 - s11
-    if den == 0:
+    if s11 == 1:
         raise SingularityError("s11 = 1 corresponds to an infinite impedance")
-    return z0 * (1.0 + s11) / den
+    return _deembed(s11, z0, REFLECTION)
 
 
 def series_impedance_from_s21(s21: complex, z0: float = 50.0) -> complex:
     """Series-through view: Z = 2 z0 (1 - s21) / s21."""
     if s21 == 0:
         raise SingularityError("s21 = 0 corresponds to an infinite series impedance")
-    return 2.0 * z0 * (1.0 - s21) / s21
+    return _deembed(s21, z0, SERIES_THROUGH)
 
 
 def shunt_impedance_from_s21(s21: complex, z0: float = 50.0) -> complex:
     """Shunt-through view: Z = (z0 / 2) s21 / (1 - s21)."""
-    den = 1.0 - s21
-    if den == 0:
+    if s21 == 1:
         raise SingularityError("s21 = 1 corresponds to an infinite shunt impedance")
-    return (z0 / 2.0) * s21 / den
+    return _deembed(s21, z0, SHUNT_THROUGH)
 
 
 def reflection_coefficient(z: complex, z0: float = 50.0) -> complex:
     """Gamma = (z - z0) / (z + z0) against a real positive reference."""
-    den = z + z0
-    if den == 0:
+    if z == -z0:
         raise SingularityError("z = -z0 has no reflection coefficient")
-    return (z - z0) / den
+    return _reflection(z, z0)
 
 
 def impedance_profile(net: NetworkData, mode: str = SERIES_THROUGH) -> ImpedanceProfile:
@@ -137,18 +153,8 @@ def impedance_profile(net: NetworkData, mode: str = SERIES_THROUGH) -> Impedance
     if mode in (SERIES_THROUGH, SHUNT_THROUGH) and net.n_ports < 2:
         raise ValueError(f"{mode} extraction requires a 2-port network")
 
-    z0 = net.z0_ohm
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if mode == REFLECTION:
-            s = net.s11()
-            z = z0 * (1.0 + s) / (1.0 - s)
-        elif mode == SERIES_THROUGH:
-            s = net.s21()
-            z = 2.0 * z0 * (1.0 - s) / s
-        else:
-            s = net.s21()
-            z = (z0 / 2.0) * s / (1.0 - s)
-
+    s = net.s11() if mode == REFLECTION else net.s21()
+    z = _deembed(s, net.z0_ohm, mode)
     valid = np.isfinite(z.real) & np.isfinite(z.imag)
     z = np.where(valid, z, complex(np.nan, np.nan))
     if np.any(z.real[valid] < _NEGATIVE_R_TOL):
@@ -220,7 +226,7 @@ def synthesize_series_rlc(
     z = model.impedance(f)
 
     if mode == REFLECTION:
-        s = ((z - z0) / (z + z0)).reshape(-1, 1, 1)
+        s = _reflection(z, z0).reshape(-1, 1, 1)
     else:
         n = f.size
         s = np.empty((n, 2, 2), dtype=complex)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .impedance import ImpedanceProfile, impedance_at
+from .impedance import ImpedanceProfile, _reflection, impedance_at
 
 __all__ = [
     "SERIES_RESISTOR",
@@ -272,9 +272,7 @@ def vswr_profile(profile: ImpedanceProfile, z0: float = 50.0) -> VswrProfile:
     """
     if not (z0 > 0 and math.isfinite(z0)):
         raise ValueError("z0 must be positive and finite")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = (profile.z - z0) / (profile.z + z0)
-    gamma = np.where(profile.valid, gamma, complex(np.nan, np.nan))
+    gamma = np.where(profile.valid, _reflection(profile.z, z0), complex(np.nan, np.nan))
     mag = np.abs(gamma)
     unbounded = profile.valid & (mag >= _GAMMA_CAP)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -290,17 +288,17 @@ def vswr_profile(profile: ImpedanceProfile, z0: float = 50.0) -> VswrProfile:
 
 
 def power_split_report(
-    profile: ImpedanceProfile, network: MatchingNetwork, z0: float = 50.0
+    profile: ImpedanceProfile, network: MatchingNetwork, matched: VswrProfile
 ) -> PowerSplit:
     """Split of accepted power between the matching network and the antenna.
 
-    For the series resistor the resistive divider R_ant / (R_series + R_ant)
-    applies pointwise; an L-section is lossless so the full accepted power
-    reaches the load.  Mismatch at the matched input is reported separately.
+    ``matched`` is ``vswr_profile(apply_match(profile, network), z0)``, so the
+    mismatch is taken against its ``z0_ohm``.  For the series resistor the
+    resistive divider R_ant / (R_series + R_ant) applies pointwise; an
+    L-section is lossless so the full accepted power reaches the load.
+    Mismatch at the matched input is reported separately.
     """
-    matched = apply_match(profile, network)
-    refl = vswr_profile(matched, z0=z0)
-    reflected = np.abs(refl.gamma) ** 2
+    reflected = np.abs(matched.gamma) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         mismatch_db = -10.0 * np.log10(1.0 - reflected)
 

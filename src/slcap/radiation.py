@@ -212,7 +212,8 @@ def evaluate_pattern(
         block = np.abs(af) ** 2
         if dipole:
             proj = ux * axis[0] + uy * axis[1] + uz * axis[2]
-            block = block * (1.0 - proj**2)
+            # Along the axis, proj**2 can round just above 1.
+            block = block * np.maximum(1.0 - proj**2, 0.0)
         u[start:stop] = block
 
     return RadiationPattern(

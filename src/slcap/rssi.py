@@ -18,6 +18,8 @@ from datetime import datetime
 import numpy as np
 from scipy import stats
 
+from .report import num, report_text
+
 __all__ = [
     "RSSI_UNKNOWN",
     "AtLogParseError",
@@ -266,33 +268,33 @@ class ComparisonReport:
             ("novel.antenna", self.novel.antenna),
             ("novel.n_samples", str(self.novel.n_samples)),
             ("novel.n_known", str(self.novel_n_known)),
-            ("novel.mean_rssi", f"{self.novel_mean_rssi:.9g}"),
-            ("novel.sd_rssi", f"{self.novel_sd_rssi:.9g}"),
-            ("novel.mean_dbm", f"{self.novel_mean_dbm:.9g}"),
+            ("novel.mean_rssi", num(self.novel_mean_rssi)),
+            ("novel.sd_rssi", num(self.novel_sd_rssi)),
+            ("novel.mean_dbm", num(self.novel_mean_dbm)),
             ("baseline.environment", self.baseline.environment),
             ("baseline.antenna", self.baseline.antenna),
             ("baseline.n_samples", str(self.baseline.n_samples)),
             ("baseline.n_known", str(self.baseline_n_known)),
-            ("baseline.mean_rssi", f"{self.baseline_mean_rssi:.9g}"),
-            ("baseline.sd_rssi", f"{self.baseline_sd_rssi:.9g}"),
-            ("baseline.mean_dbm", f"{self.baseline_mean_dbm:.9g}"),
-            ("percent_difference", f"{self.percent_difference:.9g}"),
-            ("performance_ratio_rssi_pct", f"{self.performance_ratio_rssi_pct:.9g}"),
-            ("performance_ratio_dbm_pct", f"{self.performance_ratio_dbm_pct:.9g}"),
-            ("welch.t", f"{self.welch.t:.9g}"),
-            ("welch.df", f"{self.welch.df:.9g}"),
+            ("baseline.mean_rssi", num(self.baseline_mean_rssi)),
+            ("baseline.sd_rssi", num(self.baseline_sd_rssi)),
+            ("baseline.mean_dbm", num(self.baseline_mean_dbm)),
+            ("percent_difference", num(self.percent_difference)),
+            ("performance_ratio_rssi_pct", num(self.performance_ratio_rssi_pct)),
+            ("performance_ratio_dbm_pct", num(self.performance_ratio_dbm_pct)),
+            ("welch.t", num(self.welch.t)),
+            ("welch.df", num(self.welch.df)),
             ("welch.p_value", format_p_value(self.welch.p_value)),
         ]
         if self.footprint_ratio is not None:
-            rows.append(("novel.area_mm2", f"{self.novel_area_mm2:.9g}"))
-            rows.append(("baseline.area_mm2", f"{self.baseline_area_mm2:.9g}"))
-            rows.append(("footprint_ratio", f"{self.footprint_ratio:.9g}"))
+            rows.append(("novel.area_mm2", num(self.novel_area_mm2)))
+            rows.append(("baseline.area_mm2", num(self.baseline_area_mm2)))
+            rows.append(("footprint_ratio", num(self.footprint_ratio)))
         for i, flag in enumerate(self.mapping_flags):
             rows.append((f"mapping_check.{i}", flag))
         return rows
 
     def to_text(self) -> str:
-        return "\n".join(f"{key} = {value}" for key, value in self.to_rows()) + "\n"
+        return report_text(self.to_rows())
 
 
 def compare_datasets(

@@ -20,6 +20,8 @@ __all__ = [
     "parse_touchstone",
     "write_touchstone",
     "validate_passivity",
+    "ENCODINGS",
+    "UNIT_SCALE",
 ]
 
 UNIT_SCALE = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}

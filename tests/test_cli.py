@@ -478,3 +478,66 @@ class TestConfigAndGlobalFlags:
         )
         assert proc.returncode == 0
         assert "directivity = " in proc.stdout
+
+
+LAYOUT = {"frequency_hz": 1e9, "positions": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]}
+SYNTH = ["synth", "--r", "1", "--l", "1e-9", "--c", "1e-12"]
+
+# name -> (input files, argv with @file for a path under tmp_path, exit code,
+# text the message must contain: the offending file, flag or setting).
+BAD_INPUTS = {
+    "positions_not_a_list": (
+        {"layout.json": json.dumps({**LAYOUT, "positions": 5})},
+        ["pattern", "--layout", "@layout.json"], 2, "layout.json",
+    ),
+    "weights_not_a_list": (
+        {"layout.json": json.dumps({**LAYOUT, "weights": 3})},
+        ["pattern", "--layout", "@layout.json"], 2, "layout.json",
+    ),
+    "axis_not_a_list": (
+        {"layout.json": json.dumps({**LAYOUT, "element": {"axis": 5}})},
+        ["pattern", "--layout", "@layout.json"], 2, "layout.json",
+    ),
+    "weight_pair_not_numeric": (
+        {"layout.json": json.dumps({**LAYOUT, "weights": [["a", 1], 1]})},
+        ["pattern", "--layout", "@layout.json"], 2, "layout.json",
+    ),
+    "input_not_utf8": (
+        {"sweep.s2p": b"\xff\xfe# Hz S RI R 50\n"},
+        ["analyze", "@sweep.s2p"], 2, "sweep.s2p",
+    ),
+    "config_not_utf8": (
+        {"run.cfg": b"z0_ohm = 5\xff\n", "layout.json": json.dumps(LAYOUT)},
+        ["--config", "@run.cfg", "pattern", "--layout", "@layout.json"], 2, "run.cfg",
+    ),
+    "phi_cut_nan": (
+        {"layout.json": json.dumps(LAYOUT)},
+        ["pattern", "--layout", "@layout.json", "--phi-cut-deg", "nan"], 2, "--phi-cut-deg",
+    ),
+    "sweep_stop_inf": ({}, [*SYNTH, "--sweep", "1:inf:10"], 2, "--sweep"),
+    "theta_step_flag": (
+        {"layout.json": json.dumps(LAYOUT)},
+        ["pattern", "--layout", "@layout.json", "--theta-step", "7"], 2, "theta_step_deg",
+    ),
+    "theta_step_config": (
+        {"run.cfg": "theta_step_deg = 7\n", "layout.json": json.dumps(LAYOUT)},
+        ["--config", "@run.cfg", "pattern", "--layout", "@layout.json"], 2, "theta_step_deg",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exit_code_and_message(tmp_path, capsys, name):
+    files, argv, expected_code, named = BAD_INPUTS[name]
+    for file_name, content in files.items():
+        path = tmp_path / file_name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    code = run("--out-dir", str(tmp_path / "out"), *argv)
+    err = capsys.readouterr().err
+    assert code == expected_code
+    assert "Traceback" not in err
+    assert named in err

@@ -224,7 +224,9 @@ class TestPowerSplit:
     def test_series_resistor_divider(self, envelope_profile):
         f = envelope_profile.frequencies_hz
         net = design_series_resistive_match(envelope_profile, float(f[f.size // 2]))
-        split = power_split_report(envelope_profile, net)
+        split = power_split_report(
+            envelope_profile, net, vswr_profile(apply_match(envelope_profile, net))
+        )
         r_ant = envelope_profile.resistance
         np.testing.assert_allclose(
             split.antenna_fraction, r_ant / (net.series_r_ohm + r_ant), rtol=1e-12
@@ -237,7 +239,7 @@ class TestPowerSplit:
         # 1 ohm antenna + 49 ohm resistor: 2 % reaches the antenna, no mismatch.
         p = flat_profile(1.0)
         net = design_series_resistive_match(p, 2e9)
-        split = power_split_report(p, net)
+        split = power_split_report(p, net, vswr_profile(apply_match(p, net)))
         assert split.antenna_fraction[0] == pytest.approx(0.02, rel=1e-12)
         assert split.resistor_fraction[0] == pytest.approx(0.98, rel=1e-12)
         assert split.reflected_fraction[0] == pytest.approx(0.0, abs=1e-15)
@@ -246,13 +248,13 @@ class TestPowerSplit:
     def test_lossless_l_section_delivers_everything(self):
         p = flat_profile(1.0, n=3, f_lo=0.9e9, f_hi=1.1e9)
         low, _ = design_l_section(1.0 + 0j, 1e9)
-        split = power_split_report(p, low)
+        split = power_split_report(p, low, vswr_profile(apply_match(p, low)))
         np.testing.assert_array_equal(split.antenna_fraction, 1.0)
         np.testing.assert_array_equal(split.resistor_fraction, 0.0)
 
     def test_mismatch_loss_positive_off_match(self):
         p = flat_profile(10.0)
         net = MatchingNetwork(topology=SERIES_RESISTOR, f_design_hz=2e9, series_r_ohm=0.0)
-        split = power_split_report(p, net)
+        split = power_split_report(p, net, vswr_profile(apply_match(p, net)))
         expected = -10.0 * math.log10(1.0 - oracles.reflection_magnitude(10.0, 50.0) ** 2)
         np.testing.assert_allclose(split.mismatch_loss_db, expected, rtol=1e-12)

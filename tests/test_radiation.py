@@ -90,6 +90,16 @@ class TestEvaluate:
         cp = np.cos(pattern.phi_rad)[None, :]
         np.testing.assert_allclose(pattern.u, 1.0 - (st * cp) ** 2, atol=1e-12)
 
+    def test_in_plane_dipole_axis_never_goes_negative(self):
+        # Where a grid direction lies on the axis, 1 - (u.a)^2 can round below
+        # zero; every integer-degree axis in the xy plane must still evaluate.
+        for deg in range(360):
+            a = math.radians(deg)
+            element = single_element(kind=HERTZIAN_DIPOLE, axis=(math.cos(a), math.sin(a), 0.0))
+            pattern = evaluate_pattern(element)
+            assert pattern.u.min() >= 0.0
+            assert pattern.u.max() == pytest.approx(1.0, abs=1e-12)
+
     def test_half_wave_pair_matches_hand_formula(self):
         pattern = evaluate_pattern(half_wave_pair())
         expected = oracles.pair_pattern_u(pattern.theta_rad, 0.5)[:, None]
