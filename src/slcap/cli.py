@@ -76,7 +76,14 @@ __all__ = ["RunConfig", "InputError", "load_config", "run_command", "main"]
 
 
 class InputError(ValueError):
-    """User-input problem (bad file, bad config, bad option value): exit code 2."""
+    """User-input problem (bad file, bad config, bad option value): exit code 2.
+
+    ``key`` names the config setting at fault, when there is one.
+    """
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -97,15 +104,18 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, float) and not (value > 0 and math.isfinite(value)):
-                raise InputError(f"config value {f.name} must be positive")
+                raise InputError(f"config value {f.name} must be positive", key=f.name)
         if self.fixture not in FIXTURE_MODES:
-            raise InputError(f"config value fixture must be one of {FIXTURE_MODES}")
+            raise InputError(
+                f"config value fixture must be one of {FIXTURE_MODES}", key="fixture"
+            )
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Read a plain ``key = value`` config file; unknown keys are rejected."""
     defaults = {f.name: f.default for f in fields(RunConfig)}
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for line_number, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -116,6 +126,7 @@ def load_config(path: str | Path) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in defaults:
             raise InputError(f"{path}: line {line_number}: unknown key {key!r}")
+        lines[key] = line_number
         if not isinstance(defaults[key], float):
             values[key] = value
             continue
@@ -125,7 +136,10 @@ def load_config(path: str | Path) -> RunConfig:
             raise InputError(
                 f"{path}: line {line_number}: {key} needs a number, got {value!r}"
             ) from None
-    return RunConfig(**values)
+    try:
+        return RunConfig(**values)
+    except InputError as exc:
+        raise InputError(f"{path}: line {lines[exc.key]}: {exc}") from None
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
-from scipy import stats
 
 from .report import num, report_text
 
@@ -200,14 +199,69 @@ class WelchResult:
     p_value: float
 
 
+# Modified Lentz method: a stand-in for a zero denominator, the relative
+# change of the last term that ends the continued fraction, and a cap on its
+# terms.  Up to df = 1e10 the fraction ends within 70 terms.
+_LENTZ_TINY = 1e-300
+_LENTZ_EPS = 1e-15
+_LENTZ_MAX_TERMS = 200
+
+
+def _t_two_sided_p(t: float, df: float) -> float:
+    """P(|T| > |t|) for Student's t with ``df`` degrees: I_x(df/2, 1/2), x = df/(df + t^2).
+
+    The regularised incomplete beta is evaluated as its continued fraction by
+    the modified Lentz method (Numerical Recipes, 3rd ed., section 6.4), on
+    whichever side of I_x(a, b) = 1 - I_{1-x}(b, a) converges.  Field logs
+    give df in the tens of thousands, where two differences would cancel:
+    1 - x is formed as t^2/(df + t^2), and lgamma(a + 1/2) - lgamma(a)
+    comes from its asymptotic series once a >= 20.  The relative error is then
+    about 3e-17 * df.
+    """
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    a, b = 0.5 * df, 0.5
+    x, y = df / (df + t2), t2 / (df + t2)
+    if a >= 20.0:
+        r = 1.0 / a
+        lg = 0.5 * math.log(a) - r / 8 + r**3 / 192 - r**5 / 640 + 17 * r**7 / 14336
+    else:
+        lg = math.lgamma(a + b) - math.lgamma(a)
+    # x^a y^b / B(a, b), with lgamma(1/2) = ln(pi)/2
+    front = math.exp(lg - 0.5 * math.log(math.pi) - a * math.log1p(t2 / df) + b * math.log(y))
+    swap = x >= (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, x = b, a, y
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _LENTZ_TINY else _LENTZ_TINY)
+    h = d
+    for m in range(1, _LENTZ_MAX_TERMS + 1):
+        for aa in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _LENTZ_TINY else _LENTZ_TINY)
+            c = 1.0 + aa / c
+            c = c if abs(c) > _LENTZ_TINY else _LENTZ_TINY
+            h *= d * c
+        if abs(d * c - 1.0) < _LENTZ_EPS:
+            p = front * h / a
+            return 1.0 - p if swap else p
+    raise ArithmeticError(f"Student-t tail did not converge at t = {t:g}, df = {df:g}")
+
+
 def welch_t_test(a, b) -> WelchResult:
     """Unequal-variance two-sample t-test (Welch).
 
     t = (mean_a - mean_b) / sqrt(s2_a/n_a + s2_b/n_b) with the
-    Welch-Satterthwaite degrees of freedom; the two-sided p comes from the
-    Student-t survival function.  Two zero-variance samples with equal means
-    return t = 0, p = 1 by convention; with unequal means there is no valid
-    test and a ValueError is raised.
+    Welch-Satterthwaite degrees of freedom; the two-sided p is the Student-t
+    tail I_x(df/2, 1/2), x = df/(df + t^2), a regularised incomplete beta
+    evaluated by its continued fraction (Numerical Recipes, 3rd ed., section
+    6.4).  Two zero-variance samples with equal means return t = 0, p = 1 by
+    convention; with unequal means there is no valid test and a ValueError is
+    raised.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -227,7 +281,7 @@ def welch_t_test(a, b) -> WelchResult:
     se_a, se_b = va / na, vb / nb
     t = diff / math.sqrt(se_a + se_b)
     df = (se_a + se_b) ** 2 / (se_a**2 / (na - 1) + se_b**2 / (nb - 1))
-    p = 2.0 * float(stats.t.sf(abs(t), df))
+    p = _t_two_sided_p(float(t), float(df))
     return WelchResult(t=float(t), df=float(df), p_value=min(p, 1.0))
 
 

@@ -298,14 +298,10 @@ def write_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None) -> s
 
 def validate_passivity(net: NetworkData, tol: float = PASSIVITY_TOL) -> list[str]:
     """Return a warning string per scattering entry with magnitude above 1 + tol."""
-    warnings = []
     mags = np.abs(net.s)
-    for k in range(net.n_points):
-        for i in range(net.n_ports):
-            for j in range(net.n_ports):
-                if mags[k, i, j] > 1.0 + tol:
-                    warnings.append(
-                        f"|S{i + 1}{j + 1}| = {mags[k, i, j]:.9g} exceeds 1 "
-                        f"at {net.frequencies_hz[k]:.9g} Hz"
-                    )
-    return warnings
+    # np.nonzero yields (point, row, column) in C order: by point, then port pair.
+    return [
+        f"|S{i + 1}{j + 1}| = {mags[k, i, j]:.9g} exceeds 1 "
+        f"at {net.frequencies_hz[k]:.9g} Hz"
+        for k, i, j in zip(*np.nonzero(mags > 1.0 + tol))
+    ]

@@ -25,8 +25,9 @@ def student_t_sf(t: float, df: float, panels: int = 16, order: int = 64) -> floa
         return 1.0 - student_t_sf(-t, df, panels, order)
     if t == 0.0:
         return 0.5
-    c = math.gamma((df + 1.0) / 2.0) / (
-        math.sqrt(df * math.pi) * math.gamma(df / 2.0)
+    # Normalisation through lgamma: math.gamma overflows for df above ~340.
+    c = math.exp(math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0)) / math.sqrt(
+        df * math.pi
     )
     nodes, weights = np.polynomial.legendre.leggauss(order)
     split = min(t, 8.0)
@@ -36,7 +37,7 @@ def student_t_sf(t: float, df: float, panels: int = 16, order: int = 64) -> floa
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        density = c * (1.0 + x * x / df) ** (-(df + 1.0) / 2.0)
+        density = c * np.exp(-(df + 1.0) / 2.0 * np.log1p(x * x / df))
         total += 0.5 * (b - a) * float(np.sum(weights * density))
     return 0.5 - total
 

@@ -418,7 +418,7 @@ class TestConfigAndGlobalFlags:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
-    def test_nonpositive_config_value(self, tmp_path, envelope_s2p):
+    def test_nonpositive_config_value(self, tmp_path, envelope_s2p, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("z0_ohm = -5\n")
         assert (
@@ -428,6 +428,8 @@ class TestConfigAndGlobalFlags:
             )
             == 2
         )
+        err = capsys.readouterr().err
+        assert f"{cfg}: line 1: config value z0_ohm must be positive" in err
 
     def test_load_config_roundtrip(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -479,6 +481,24 @@ class TestConfigAndGlobalFlags:
         assert proc.returncode == 0
         assert "directivity = " in proc.stdout
 
+    def test_cli_import_pulls_in_no_scipy(self):
+        import os
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        check = (
+            "import slcap.cli, sys; "
+            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", check],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 LAYOUT = {"frequency_hz": 1e9, "positions": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]}
 SYNTH = ["synth", "--r", "1", "--l", "1e-9", "--c", "1e-12"]
@@ -509,6 +529,10 @@ BAD_INPUTS = {
     "config_not_utf8": (
         {"run.cfg": b"z0_ohm = 5\xff\n", "layout.json": json.dumps(LAYOUT)},
         ["--config", "@run.cfg", "pattern", "--layout", "@layout.json"], 2, "run.cfg",
+    ),
+    "fixture_config": (
+        {"run.cfg": "# shared settings\nfixture = bogus\n"},
+        ["--config", "@run.cfg", *SYNTH, "--sweep", "1:2:3"], 2, "run.cfg: line 2: ",
     ),
     "phi_cut_nan": (
         {"layout.json": json.dumps(LAYOUT)},

@@ -18,6 +18,7 @@ from slcap import (
     rssi_to_dbm,
     welch_t_test,
 )
+from slcap.rssi import _t_two_sided_p
 
 
 class TestOracleSelfValidation:
@@ -179,6 +180,15 @@ class TestWelch:
             assert res.p_value == pytest.approx(
                 oracles.two_sided_p(t_ref, df_ref), abs=1e-8
             )
+
+    @pytest.mark.parametrize("df", [1.0, 1.5, 2.0, 8.0, 30.0, 340.0, 1e3, 5.8e4, 1e6])
+    @pytest.mark.parametrize("t", [0.0, 0.01, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0])
+    def test_tail_matches_quadrature(self, t, df):
+        # Covers the df of long field logs (tens of thousands), where
+        # math.gamma overflows and 1 - x cancels.
+        p = _t_two_sided_p(t, df)
+        assert p == pytest.approx(oracles.two_sided_p(t, df), abs=1e-9)
+        assert _t_two_sided_p(-t, df) == p
 
     def test_identical_samples(self):
         res = welch_t_test([1, 2, 3, 4, 5], [1, 2, 3, 4, 5])

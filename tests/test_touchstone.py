@@ -198,6 +198,24 @@ class TestPassivity:
         assert "|S21|" in flags[0]
         assert "2e+09" in flags[0] or "2000000000" in flags[0]
 
+    def test_flags_follow_point_then_port_order(self):
+        s = np.zeros((3, 2, 2), dtype=complex)
+        s[0, 0, 1] = 1.5
+        s[0, 1, 0] = -2.0
+        s[1, 1, 1] = 1.25j
+        s[2, 0, 0] = 3.0 + 4.0j
+        s[2, 0, 1] = 1.125
+        s[2, 1, 0] = 0.9
+        s[2, 1, 1] = 1.0 + 1e-12
+        net = NetworkData(frequencies_hz=np.array([1e9, 2.5e9, 3e9]), s=s)
+        assert validate_passivity(net) == [
+            "|S12| = 1.5 exceeds 1 at 1e+09 Hz",
+            "|S21| = 2 exceeds 1 at 1e+09 Hz",
+            "|S22| = 1.25 exceeds 1 at 2.5e+09 Hz",
+            "|S11| = 5 exceeds 1 at 3e+09 Hz",
+            "|S12| = 1.125 exceeds 1 at 3e+09 Hz",
+        ]
+
     def test_unit_magnitude_is_within_tolerance(self):
         s = np.full((1, 1, 1), 1.0 + 0j)
         net = NetworkData(frequencies_hz=np.array([1e9]), s=s)
