@@ -42,6 +42,23 @@ INPUTS = {
             "element": {"kind": "hertzian-dipole", "axis": [0, 0, 1]},
         }
     ),
+    # A series-through sweep whose s21 = 0 row at 4.5 GHz has no finite
+    # impedance, so every analyze and match output carries a nan row there.
+    "open.s2p": (
+        "! series-through RLC with an open (s21 = 0) row\n"
+        "# HZ S RI R 50\n"
+        "500000000 0.906100 -0.290091 0.093900 0.290091 0.093900 0.290091 0.906100 -0.290091\n"
+        "1000000000 0.681280 -0.462582 0.318720 0.462582 0.318720 0.462582 0.681280 -0.462582\n"
+        "1500000000 0.433037 -0.489798 0.566963 0.489798 0.566963 0.489798 0.433037 -0.489798\n"
+        "2000000000 0.232828 -0.413549 0.767172 0.413549 0.767172 0.413549 0.232828 -0.413549\n"
+        "2500000000 0.101488 -0.286866 0.898512 0.286866 0.898512 0.286866 0.101488 -0.286866\n"
+        "3000000000 0.032261 -0.147101 0.967739 0.147101 0.967739 0.147101 0.032261 -0.147101\n"
+        "3500000000 0.010117 -0.014609 0.989883 0.014609 0.989883 0.014609 0.010117 -0.014609\n"
+        "4000000000 0.020441 0.101610 0.979559 -0.101610 0.979559 -0.101610 0.020441 0.101610\n"
+        "4500000000 1.000000 0.000000 0.000000 0.000000 0.000000 0.000000 1.000000 0.000000\n"
+        "5000000000 0.095149 0.277734 0.904851 -0.277734 0.904851 -0.277734 0.095149 0.277734\n"
+        "5500000000 0.145173 0.340050 0.854827 -0.340050 0.854827 -0.340050 0.145173 0.340050\n"
+    ),
     "novel.log": (
         "# novel chip antenna, office\n"
         "2025-11-04T09:00:00Z +CSQ: 11,0\n"
@@ -100,6 +117,9 @@ def runs(root: Path) -> dict[str, list[str]]:
         "match_l_low": ["match", ri_s2p, *F_DESIGN, "--topology", "l-section"],
         "match_l_high": ["--z0", "75", "match", ri_s2p, *F_DESIGN,
                          "--topology", "l-section", "--variant", "high-pass"],
+        "analyze_open": ["--svg", "analyze", str(inp / "open.s2p")],
+        "match_open_series_r": ["--svg", "match", str(inp / "open.s2p"),
+                                "--f-design", "3.2e9"],
         "pattern_lattice": ["--svg", "pattern", "--layout", str(inp / "lattice.json"),
                             "--theta-step", "2", "--phi-step", "5", "--lobe-db", "6"],
         "pattern_dipole": ["--svg", "pattern", "--layout", str(inp / "dipole.json"),
@@ -217,6 +237,32 @@ GOLDEN = {
             "0589236166f50dcbfdabe492f0fe7f2c4300fb061de458e3559d3f8247990976",
         "stdout":
             "573107e9ce9770953f5266384e38a52bafdd76dbf18ead0e02c61d0effe1ab51",
+    },
+    "analyze_open": {
+        "analyze_report.txt":
+            "8fa791bda8da83053df3965be62f83920e2d5a005130366be181a38217aa3717",
+        "impedance.csv":
+            "cf51591d1d9eb3e6bf4e25473743cf09baab053a563c438c7ce7b4da2e1924fa",
+        "impedance.svg":
+            "ad492621321021294269e03a94913e354b24a1af804f5b7fb731867206d0be2e",
+        "metrics.csv":
+            "cddfc6ec58f4f10a9671d47dc34d39090692441d9ded682a87acedb05e94eabb",
+        "stdout":
+            "8fa791bda8da83053df3965be62f83920e2d5a005130366be181a38217aa3717",
+    },
+    "match_open_series_r": {
+        "impedance_matched.csv":
+            "54f4424cff6cfff92927773e9d92cde341bc559d402c03090261bc79c6a81b9d",
+        "match_report.txt":
+            "87828841b550e290f085965aaecccaa7d115a2515e1546af6e55211c5378d0ca",
+        "vswr.svg":
+            "7bc00d17afcdad11684de97255b597b4fda14ffe79adb78c560e627bbbb80c14",
+        "vswr_matched.csv":
+            "6c95c0574adcbbb9a46b38404dc76e797af5fdb0f0ffaa61faaf8b37c7d13d61",
+        "vswr_unmatched.csv":
+            "560d21eb8449952282b86c5a9bc948f34a6da0199648424f6772686b9292a5ae",
+        "stdout":
+            "87828841b550e290f085965aaecccaa7d115a2515e1546af6e55211c5378d0ca",
     },
     "pattern_lattice": {
         "cut.csv":
