@@ -109,6 +109,12 @@ class RunConfig:
             raise InputError(
                 f"config value fixture must be one of {FIXTURE_MODES}", key="fixture"
             )
+        for key in ("theta_step_deg", "phi_step_deg"):
+            step = getattr(self, key)
+            try:
+                make_grid(**{key: step})
+            except ValueError as exc:
+                raise InputError(f"config value {key} = {step:g}: {exc}", key=key) from None
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -275,7 +281,7 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     )
     out = Path(cfg.out_dir)
     write_impedance_csv(out / "impedance.csv", profile)
-    write_metrics_csv(out / "metrics.csv", metrics)
+    write_metrics_csv(out / "metrics.csv", metrics.pointwise)
 
     res = metrics.resonance
     rows = [
@@ -435,12 +441,7 @@ def cmd_pattern(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise InputError(f"--efficiency must be within [0, 1], got {args.efficiency:g}")
     if not math.isfinite(args.phi_cut_deg):
         raise InputError(f"--phi-cut-deg must be finite, got {args.phi_cut_deg:g}")
-    try:
-        theta, phi = make_grid(cfg.theta_step_deg, cfg.phi_step_deg)
-    except ValueError as exc:
-        raise InputError(
-            f"theta_step_deg {cfg.theta_step_deg:g}, phi_step_deg {cfg.phi_step_deg:g}: {exc}"
-        ) from None
+    theta, phi = make_grid(cfg.theta_step_deg, cfg.phi_step_deg)
     pattern = evaluate_pattern(layout, theta, phi)
     d = directivity(pattern)
     g = gain(d, args.efficiency)

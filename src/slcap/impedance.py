@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,15 +48,16 @@ class SingularityError(ArithmeticError):
 
 @dataclass
 class ImpedanceProfile:
-    """Complex impedance versus frequency, with a per-point validity mask.
+    """Complex impedance versus frequency; a non-finite ``z`` marks an invalid point.
 
-    Points where the extraction was singular carry ``valid == False`` and a
-    NaN impedance; downstream metrics skip them instead of failing the sweep.
+    Every non-finite impedance (an extraction pole gives inf or nan) is stored
+    as NaN, and ``valid`` is ``np.isfinite(z)``.  Downstream metrics carry the
+    NaN through instead of failing the sweep.
     """
 
     frequencies_hz: np.ndarray
     z: np.ndarray
-    valid: np.ndarray | None = None
+    valid: np.ndarray = field(init=False)
 
     def __post_init__(self):
         f = np.asarray(self.frequencies_hz, dtype=float)
@@ -67,15 +68,9 @@ class ImpedanceProfile:
             raise ValueError("frequencies must be finite and positive")
         if f.size > 1 and not np.all(np.diff(f) > 0):
             raise ValueError("frequencies must be strictly increasing")
-        if self.valid is None:
-            valid = np.isfinite(z.real) & np.isfinite(z.imag)
-        else:
-            valid = np.asarray(self.valid, dtype=bool)
-            if valid.shape != f.shape:
-                raise ValueError("valid mask must match the frequency axis")
+        self.valid = np.isfinite(z)
         self.frequencies_hz = f
-        self.z = z
-        self.valid = valid
+        self.z = np.where(self.valid, z, complex(np.nan, np.nan))
 
     @property
     def resistance(self) -> np.ndarray:
@@ -144,9 +139,9 @@ def reflection_coefficient(z: complex, z0: float = 50.0) -> complex:
 def impedance_profile(net: NetworkData, mode: str = SERIES_THROUGH) -> ImpedanceProfile:
     """Extract the device impedance sweep from ``net`` under a fixture convention.
 
-    Singular points (e.g. s21 = 0 in series-through) are flagged invalid
-    rather than aborting the sweep.  A warning is issued if any valid point
-    shows negative resistance, which passive data should not produce.
+    Singular points (e.g. s21 = 0 in series-through) become NaN rather than
+    aborting the sweep.  A warning is issued if any valid point shows negative
+    resistance, which passive data should not produce.
     """
     if mode not in FIXTURE_MODES:
         raise ValueError(f"unknown fixture mode {mode!r}")
@@ -154,15 +149,13 @@ def impedance_profile(net: NetworkData, mode: str = SERIES_THROUGH) -> Impedance
         raise ValueError(f"{mode} extraction requires a 2-port network")
 
     s = net.s11() if mode == REFLECTION else net.s21()
-    z = _deembed(s, net.z0_ohm, mode)
-    valid = np.isfinite(z.real) & np.isfinite(z.imag)
-    z = np.where(valid, z, complex(np.nan, np.nan))
-    if np.any(z.real[valid] < _NEGATIVE_R_TOL):
+    profile = ImpedanceProfile(net.frequencies_hz, _deembed(s, net.z0_ohm, mode))
+    if np.any(profile.resistance < _NEGATIVE_R_TOL):
         warnings.warn(
             "negative resistance extracted from passive data; check the fixture mode",
             stacklevel=2,
         )
-    return ImpedanceProfile(frequencies_hz=net.frequencies_hz, z=z, valid=valid)
+    return profile
 
 
 def impedance_at(profile: ImpedanceProfile, f_hz: float) -> complex:

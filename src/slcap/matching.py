@@ -101,7 +101,7 @@ class MatchingNetwork:
                 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class VswrProfile:
     """Reflection coefficient and VSWR versus frequency against ``z0_ohm``.
 
@@ -123,7 +123,7 @@ class VswrProfile:
         return float(np.interp(f_hz, f, self.vswr))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PowerSplit:
     """Where the accepted power goes, pointwise across the sweep.
 
@@ -239,29 +239,24 @@ def apply_match(profile: ImpedanceProfile, network: MatchingNetwork) -> Impedanc
     """
     f = profile.frequencies_hz
     if network.topology == SERIES_RESISTOR:
-        z_in = profile.z + network.series_r_ohm
-        return ImpedanceProfile(frequencies_hz=f, z=z_in, valid=profile.valid.copy())
+        return ImpedanceProfile(frequencies_hz=f, z=profile.z + network.series_r_ohm)
 
     x_ser = _reactance_of_element(network.series_l_h, network.series_c_f, f)
     x_sh = _reactance_of_element(network.shunt_l_h, network.shunt_c_f, f)
     has_shunt = network.shunt_l_h is not None or network.shunt_c_f is not None
 
-    def shunt_combine(z, valid):
+    def shunt_combine(z):
+        # A pole here gives inf or nan, which ImpedanceProfile stores as NaN.
         if not has_shunt:
-            return z, valid
+            return z
         with np.errstate(divide="ignore", invalid="ignore"):
-            den = z + 1j * x_sh
-            out = (z * (1j * x_sh)) / den
-        ok = valid & np.isfinite(out.real) & np.isfinite(out.imag)
-        return np.where(ok, out, complex(np.nan, np.nan)), ok
+            return (z * (1j * x_sh)) / (z + 1j * x_sh)
 
     if network.series_first:
-        z1 = profile.z + 1j * x_ser
-        z_in, valid = shunt_combine(z1, profile.valid)
+        z_in = shunt_combine(profile.z + 1j * x_ser)
     else:
-        z1, valid = shunt_combine(profile.z, profile.valid)
-        z_in = z1 + 1j * x_ser
-    return ImpedanceProfile(frequencies_hz=f, z=z_in, valid=valid)
+        z_in = shunt_combine(profile.z) + 1j * x_ser
+    return ImpedanceProfile(frequencies_hz=f, z=z_in)
 
 
 def vswr_profile(profile: ImpedanceProfile, z0: float = 50.0) -> VswrProfile:
@@ -272,9 +267,9 @@ def vswr_profile(profile: ImpedanceProfile, z0: float = 50.0) -> VswrProfile:
     """
     if not (z0 > 0 and math.isfinite(z0)):
         raise ValueError("z0 must be positive and finite")
-    gamma = np.where(profile.valid, _reflection(profile.z, z0), complex(np.nan, np.nan))
+    gamma = _reflection(profile.z, z0)
     mag = np.abs(gamma)
-    unbounded = profile.valid & (mag >= _GAMMA_CAP)
+    unbounded = mag >= _GAMMA_CAP
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (1.0 + mag) / (1.0 - mag)
     vswr = np.where(unbounded, VSWR_CAP, ratio)
@@ -303,7 +298,7 @@ def power_split_report(
         mismatch_db = -10.0 * np.log10(1.0 - reflected)
 
     if network.topology == SERIES_RESISTOR:
-        r_ant = np.where(profile.valid, profile.resistance, np.nan)
+        r_ant = profile.resistance
         with np.errstate(divide="ignore", invalid="ignore"):
             antenna = r_ant / (network.series_r_ohm + r_ant)
         resistor = 1.0 - antenna

@@ -17,6 +17,7 @@ __all__ = [
     "REACTANCE_EPSILON",
     "ResonanceEstimates",
     "CapacitorMetrics",
+    "MetricsReport",
     "dissipation_factor_profile",
     "resonant_frequency",
     "low_impedance_bandwidth",
@@ -40,9 +41,9 @@ class ResonanceEstimates:
     min_magnitude_hz: float | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CapacitorMetrics:
-    """Per-frequency loss metrics plus the sweep-level resonance/bandwidth summary."""
+    """Per-frequency loss metrics; invalid and undefined points carry NaN."""
 
     frequencies_hz: np.ndarray
     esr_ohm: np.ndarray
@@ -51,13 +52,23 @@ class CapacitorMetrics:
     efficiency: np.ndarray
     q: np.ndarray
     df_defined: np.ndarray
-    resonance: ResonanceEstimates | None = None
-    resonant_frequency_hz: float | None = None
-    bandwidth_hz: tuple[float, float] | None = None
-    df_threshold: float | None = None
-    z_threshold_ohm: float | None = None
-    fraction_df_below: float | None = None
-    fraction_df_undefined: float | None = None
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    """Pointwise loss metrics plus the sweep-level resonance/bandwidth summary."""
+
+    pointwise: CapacitorMetrics
+    resonance: ResonanceEstimates
+    bandwidth_hz: tuple[float, float] | None
+    fraction_df_below: float
+    fraction_df_undefined: float
+
+    @property
+    def resonant_frequency_hz(self) -> float | None:
+        """The reactance zero crossing, else the interior |Z| minimum."""
+        zero_hz = self.resonance.reactance_zero_hz
+        return zero_hz if zero_hz is not None else self.resonance.min_magnitude_hz
 
 
 def dissipation_factor_profile(
@@ -66,9 +77,9 @@ def dissipation_factor_profile(
     """Compute DF / efficiency / Q pointwise; undefined points carry NaN."""
     if reactance_epsilon <= 0:
         raise ValueError("reactance_epsilon must be positive")
-    r = np.where(profile.valid, profile.resistance, np.nan)
-    x = np.where(profile.valid, profile.reactance, np.nan)
-    defined = profile.valid & (np.abs(profile.reactance) >= reactance_epsilon)
+    r = profile.resistance
+    x = profile.reactance
+    defined = np.abs(x) >= reactance_epsilon  # False at NaN points too
     with np.errstate(divide="ignore", invalid="ignore"):
         df = np.where(defined, r / np.abs(x), np.nan)
         q = np.where(defined, np.abs(x) / r, np.nan)
@@ -93,36 +104,26 @@ def resonant_frequency(profile: ImpedanceProfile) -> ResonanceEstimates:
     """
     f = profile.frequencies_hz
     x = profile.reactance
-    valid = profile.valid
-    n = f.size
-
-    crossings: list[float] = []
-    for i in range(n - 1):
-        if not (valid[i] and valid[i + 1]):
-            continue
-        if x[i] == 0.0:
-            if 0 < i and valid[i - 1] and x[i - 1] * x[i + 1] < 0:
-                crossings.append(float(f[i]))
-            continue
-        if x[i] * x[i + 1] < 0:
-            frac = x[i] / (x[i] - x[i + 1])
-            crossings.append(float(f[i] + frac * (f[i + 1] - f[i])))
+    # Sign changes between neighbours, and exact interior zeros flanked by
+    # opposite signs.  A product with a NaN is never < 0, so holes never count.
+    i = np.nonzero(x[:-1] * x[1:] < 0)[0]
+    j = np.nonzero((x[1:-1] == 0) & (x[:-2] * x[2:] < 0))[0] + 1
+    frac = x[i] / (x[i] - x[i + 1])
+    crossings = np.concatenate([f[i] + frac * (f[i + 1] - f[i]), f[j]])
 
     zero_hz: float | None = None
-    if crossings:
-        zero_hz = crossings[0]
-        if len(crossings) > 1:
+    if crossings.size:
+        zero_hz = float(crossings[np.argmin(np.concatenate([i, j]))])
+        if crossings.size > 1:
             warnings.warn(
-                f"{len(crossings)} reactance zero crossings; reporting the lowest",
+                f"{crossings.size} reactance zero crossings; reporting the lowest",
                 stacklevel=2,
             )
 
     min_hz: float | None = None
-    mag = np.where(valid, np.abs(profile.z), np.inf)
-    if np.any(valid):
-        idx = int(np.argmin(mag))
-        if 0 < idx < n - 1:
-            min_hz = float(f[idx])
+    idx = int(np.argmin(np.where(profile.valid, np.abs(profile.z), np.inf)))
+    if 0 < idx < f.size - 1:
+        min_hz = float(f[idx])
 
     return ResonanceEstimates(reactance_zero_hz=zero_hz, min_magnitude_hz=min_hz)
 
@@ -177,30 +178,19 @@ def metrics_report(
     df_threshold: float = 0.02,
     z_threshold_ohm: float = 3.0,
     reactance_epsilon: float = REACTANCE_EPSILON,
-) -> CapacitorMetrics:
+) -> MetricsReport:
     """Full metrics summary: pointwise DF set plus resonance, bandwidth and fractions."""
     if profile.n_points < 2:
         raise ValueError("metrics report needs at least two sweep points")
     if df_threshold <= 0:
         raise ValueError("df_threshold must be positive")
 
-    metrics = dissipation_factor_profile(profile, reactance_epsilon=reactance_epsilon)
-    resonance = resonant_frequency(profile)
-    bandwidth = low_impedance_bandwidth(profile, z_threshold_ohm)
-
+    pointwise = dissipation_factor_profile(profile, reactance_epsilon=reactance_epsilon)
     n = profile.n_points
-    defined = metrics.df_defined
-    below = defined & (metrics.df < df_threshold)
-
-    metrics.resonance = resonance
-    metrics.resonant_frequency_hz = (
-        resonance.reactance_zero_hz
-        if resonance.reactance_zero_hz is not None
-        else resonance.min_magnitude_hz
+    return MetricsReport(
+        pointwise=pointwise,
+        resonance=resonant_frequency(profile),
+        bandwidth_hz=low_impedance_bandwidth(profile, z_threshold_ohm),
+        fraction_df_below=np.count_nonzero(pointwise.df < df_threshold) / n,
+        fraction_df_undefined=np.count_nonzero(~pointwise.df_defined) / n,
     )
-    metrics.bandwidth_hz = bandwidth
-    metrics.df_threshold = df_threshold
-    metrics.z_threshold_ohm = z_threshold_ohm
-    metrics.fraction_df_below = float(np.count_nonzero(below)) / n
-    metrics.fraction_df_undefined = float(np.count_nonzero(~defined)) / n
-    return metrics

@@ -25,17 +25,13 @@ def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
-def line_plot_svg(x, series, xlabel: str = "", ylabel: str = "", log_x: bool = False) -> str:
+def line_plot_svg(x, series, xlabel: str = "", ylabel: str = "") -> str:
     """Render labelled series against a shared x axis as an SVG document.
 
     ``series`` is a list of (label, y-array) pairs.  Non-finite samples are
     dropped per series.  Returns the SVG text.
     """
     x = np.asarray(x, dtype=float)
-    if log_x:
-        if np.any(x <= 0):
-            raise ValueError("log x axis needs positive values")
-        x = np.log10(x)
 
     finite_y = np.concatenate(
         [np.asarray(y, dtype=float)[np.isfinite(np.asarray(y, dtype=float))] for _, y in series]
@@ -72,14 +68,13 @@ def line_plot_svg(x, series, xlabel: str = "", ylabel: str = "", log_x: bool = F
         xv = x_lo + frac * (x_hi - x_lo)
         yv = y_lo + frac * (y_hi - y_lo)
         xp, yp = px(xv), py(yv)
-        label_x = 10.0**xv if log_x else xv
         parts.append(
             f'<line x1="{_fmt(xp)}" y1="{_MARGIN_T + plot_h}" x2="{_fmt(xp)}" '
             f'y2="{_MARGIN_T + plot_h + 4}" stroke="#444"/>'
         )
         parts.append(
             f'<text x="{_fmt(xp)}" y="{_MARGIN_T + plot_h + 16}" font-size="10" '
-            f'text-anchor="middle" fill="#222">{_tick_label(label_x)}</text>'
+            f'text-anchor="middle" fill="#222">{_tick_label(xv)}</text>'
         )
         parts.append(
             f'<line x1="{_MARGIN_L - 4}" y1="{_fmt(yp)}" x2="{_MARGIN_L}" '

@@ -241,17 +241,9 @@ def parse_touchstone(text: str) -> NetworkData:
     if not freqs:
         raise TouchstoneParseError(max(last_line, 1), "no data rows")
 
-    n = len(freqs)
-    if n_cols == 3:
-        s = np.array(matrices, dtype=complex).reshape(n, 1, 1)
-    else:
-        # v1 order for 2-port rows: S11 S21 S12 S22
-        s = np.empty((n, 2, 2), dtype=complex)
-        for k, (s11, s21, s12, s22) in enumerate(matrices):
-            s[k, 0, 0] = s11
-            s[k, 1, 0] = s21
-            s[k, 0, 1] = s12
-            s[k, 1, 1] = s22
+    # v1 rows list S11 S21 S12 S22: column-major, hence the transpose.
+    p = 1 if n_cols == 3 else 2
+    s = np.array(matrices, dtype=complex).reshape(-1, p, p).transpose(0, 2, 1)
     return NetworkData(frequencies_hz=np.array(freqs), s=s, z0_ohm=fmt.z0_ohm)
 
 

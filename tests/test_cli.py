@@ -545,7 +545,11 @@ BAD_INPUTS = {
     ),
     "theta_step_config": (
         {"run.cfg": "theta_step_deg = 7\n", "layout.json": json.dumps(LAYOUT)},
-        ["--config", "@run.cfg", "pattern", "--layout", "@layout.json"], 2, "theta_step_deg",
+        ["--config", "@run.cfg", "pattern", "--layout", "@layout.json"], 2, "run.cfg: line 1: ",
+    ),
+    "phi_step_config": (
+        {"run.cfg": "theta_step_deg = 2\nphi_step_deg = 7\n"},
+        ["--config", "@run.cfg", *SYNTH, "--sweep", "1:2:3"], 2, "run.cfg: line 2: ",
     ),
 }
 

@@ -7,6 +7,7 @@ from slcap import (
     REFLECTION,
     SERIES_THROUGH,
     SHUNT_THROUGH,
+    ImpedanceProfile,
     NetworkData,
     SeriesRlcModel,
     SingularityError,
@@ -160,6 +161,17 @@ class TestProfileExtraction:
         np.testing.assert_array_equal(rlc_profile.reactance, rlc_profile.z.imag)
         np.testing.assert_allclose(rlc_profile.magnitude, np.abs(rlc_profile.z))
 
+    def test_non_finite_z_is_stored_as_nan(self):
+        z = np.array([1.0, complex(np.inf, 0.0), complex(1.0, np.nan), np.nan])
+        profile = ImpedanceProfile(frequencies_hz=[1e9, 2e9, 3e9, 4e9], z=z)
+        np.testing.assert_array_equal(profile.valid, np.isfinite(z))
+        assert profile.z[0] == 1.0
+        assert np.isnan(profile.z.real[1:]).all() and np.isnan(profile.z.imag[1:]).all()
+
+    def test_valid_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            ImpedanceProfile(frequencies_hz=[1e9], z=[1.0], valid=[True])
+
 
 class TestImpedanceAt:
     def test_interpolates_between_grid_points(self, rlc_profile):
@@ -187,8 +199,6 @@ class TestImpedanceAt:
         z = np.array([10.0 + 0j, np.nan + 0j, 30.0 + 0j])
         from slcap import ImpedanceProfile
 
-        profile = ImpedanceProfile(
-            frequencies_hz=f, z=z, valid=np.array([True, False, True])
-        )
+        profile = ImpedanceProfile(frequencies_hz=f, z=z)
         # Interpolation bridges the flagged gap using its valid neighbours.
         assert impedance_at(profile, 2e9) == pytest.approx(20.0 + 0j, rel=1e-12)

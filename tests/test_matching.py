@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -68,7 +69,6 @@ class TestVswr:
         p = ImpedanceProfile(
             frequencies_hz=np.array([1e9, 2e9]),
             z=np.array([50.0 + 0j, np.nan + 0j]),
-            valid=np.array([True, False]),
         )
         v = vswr_profile(p)
         assert np.isnan(v.vswr[1])
@@ -219,6 +219,21 @@ class TestLSectionDesign:
         np.testing.assert_allclose(matched.resistance, 10.0)
         assert matched.valid.all()
 
+    def test_shunt_pole_becomes_a_nan_point(self):
+        # A shunt inductor resonating with a purely capacitive load at f_design.
+        x = 2.0 * math.pi * 1e9 * 1e-9
+        net = MatchingNetwork(
+            topology=L_SECTION,
+            f_design_hz=1e9,
+            shunt_x_ohm=x,
+            shunt_l_h=1e-9,
+            series_first=False,
+        )
+        profile = flat_profile(-1j * x, n=3, f_lo=0.5e9, f_hi=1.5e9)
+        matched = apply_match(profile, net)
+        np.testing.assert_array_equal(matched.valid, [True, False, True])
+        assert np.isnan(matched.z.real[1]) and np.isnan(matched.z.imag[1])
+
 
 class TestPowerSplit:
     def test_series_resistor_divider(self, envelope_profile):
@@ -258,3 +273,13 @@ class TestPowerSplit:
         split = power_split_report(p, net, vswr_profile(apply_match(p, net)))
         expected = -10.0 * math.log10(1.0 - oracles.reflection_magnitude(10.0, 50.0) ** 2)
         np.testing.assert_allclose(split.mismatch_loss_db, expected, rtol=1e-12)
+
+
+def test_results_are_frozen():
+    p = flat_profile(1.0)
+    net = design_series_resistive_match(p, 2e9)
+    matched = vswr_profile(apply_match(p, net))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        matched.vswr = np.zeros(5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        power_split_report(p, net, matched).antenna_fraction = np.zeros(5)

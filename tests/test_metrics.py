@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,11 @@ from slcap import (
 )
 
 
-def profile_of(z_values, f_hz=None, valid=None) -> ImpedanceProfile:
+def profile_of(z_values, f_hz=None) -> ImpedanceProfile:
     z = np.asarray(z_values, dtype=complex)
     if f_hz is None:
         f_hz = np.linspace(1e9, 2e9, z.size)
-    return ImpedanceProfile(frequencies_hz=np.asarray(f_hz, float), z=z, valid=valid)
+    return ImpedanceProfile(frequencies_hz=np.asarray(f_hz, float), z=z)
 
 
 class TestDissipationFactor:
@@ -60,10 +63,7 @@ class TestDissipationFactor:
         np.testing.assert_allclose(m.df[d], expected, rtol=1e-12)
 
     def test_invalid_points_propagate(self):
-        p = profile_of(
-            [1.0 - 50j, np.nan + 0j, 1.0 - 50j],
-            valid=np.array([True, False, True]),
-        )
+        p = profile_of([1.0 - 50j, np.nan + 0j, 1.0 - 50j])
         m = dissipation_factor_profile(p)
         assert not m.df_defined[1]
         assert np.isnan(m.df[1])
@@ -114,6 +114,35 @@ class TestResonance:
         assert res.reactance_zero_hz == pytest.approx(1.25e9, rel=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "x",
+        [[-1.0, math.nan, 1.0], [math.nan, 0.0, 1.0], [-1.0, 0.0, math.nan]],
+        ids=["sign_change_across_hole", "zero_after_hole", "zero_before_hole"],
+    )
+    def test_nan_neighbour_is_no_crossing(self, x):
+        p = profile_of(1.0 + 1j * np.array(x))
+        assert resonant_frequency(p).reactance_zero_hz is None
+
+    @pytest.mark.parametrize(
+        "x, expected",
+        [([1.0, -1.0, 0.0, 1.0], 1.5e9), ([-1.0, 0.0, 1.0, -1.0], 2e9)],
+        ids=["interpolated_first", "exact_zero_first"],
+    )
+    def test_lowest_of_interpolated_and_exact_crossings(self, x, expected):
+        p = profile_of(1.0 + 1j * np.array(x), f_hz=[1e9, 2e9, 3e9, 4e9])
+        with pytest.warns(UserWarning, match="2 reactance zero crossings"):
+            assert resonant_frequency(p).reactance_zero_hz == expected
+
+    def test_crossing_uses_the_scalar_interpolation_bits(self, rng):
+        for _ in range(200):
+            f = np.sort(rng.uniform(1e8, 1e10, size=2))
+            x = np.array([-rng.uniform(1e-3, 1e3), rng.uniform(1e-3, 1e3)])
+            frac = float(x[0]) / (float(x[0]) - float(x[1]))
+            expected = float(f[0]) + frac * (float(f[1]) - float(f[0]))
+            res = resonant_frequency(profile_of(1.0 + 1j * x, f_hz=f))
+            assert res.reactance_zero_hz == expected
+
+
 class TestBandwidth:
     def test_edges_match_analytic_roots(self, rlc_profile):
         lo_a, hi_a = oracles.rlc_band_edges(1.0, 2e-9, 1e-12, 2.0)
@@ -150,8 +179,7 @@ class TestBandwidth:
 
     def test_invalid_point_breaks_contiguity(self):
         mags = [1.0, 1.0, np.nan, 1.0, 5.0]
-        valid = np.array([True, True, False, True, True])
-        p = profile_of(np.asarray(mags) + 0j, valid=valid)
+        p = profile_of(np.asarray(mags) + 0j)
         bw = low_impedance_bandwidth(p, 2.0)
         f = p.frequencies_hz
         # The anchor sits left of the hole, so the band stops at index 1.
@@ -175,8 +203,8 @@ class TestMetricsReport:
 
     def test_lossy_fixture_bathtub(self, lossy_profile):
         rep = metrics_report(lossy_profile)
-        assert np.nanmax(rep.df) == pytest.approx(1.0 / 17.0)
-        assert np.nanmax(rep.df) < 0.06
+        assert np.nanmax(rep.pointwise.df) == pytest.approx(1.0 / 17.0)
+        assert np.nanmax(rep.pointwise.df) < 0.06
         assert rep.fraction_df_below > 0.5
         assert rep.fraction_df_undefined == 0.0
         # Purely capacitive profile: no resonance inside the sweep.
@@ -184,11 +212,11 @@ class TestMetricsReport:
 
     def test_efficiency_complements_df(self, lossy_profile):
         rep = metrics_report(lossy_profile)
-        d = rep.df_defined
-        np.testing.assert_array_equal(rep.efficiency[d], 1.0 - rep.df[d])
-        low_loss = rep.df[d] <= 0.03
+        d = rep.pointwise.df_defined
+        np.testing.assert_array_equal(rep.pointwise.efficiency[d], 1.0 - rep.pointwise.df[d])
+        low_loss = rep.pointwise.df[d] <= 0.03
         assert low_loss.any()
-        assert (rep.efficiency[d][low_loss] >= 0.97).all()
+        assert (rep.pointwise.efficiency[d][low_loss] >= 0.97).all()
 
     def test_falls_back_to_min_magnitude_estimate(self):
         # No sign change: resonant_frequency_hz comes from the |Z| minimum.
@@ -211,3 +239,10 @@ class TestMetricsReport:
     def test_bad_df_threshold(self, rlc_profile):
         with pytest.raises(ValueError):
             metrics_report(rlc_profile, df_threshold=-0.1)
+
+    def test_report_and_pointwise_are_frozen(self, rlc_profile):
+        rep = metrics_report(rlc_profile)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.bandwidth_hz = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.pointwise.df = np.zeros(rlc_profile.n_points)
