@@ -13,7 +13,6 @@ writes byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -50,6 +49,7 @@ from .radiation import (
     evaluate_pattern,
     find_lobes,
     gain,
+    grid_shape,
     make_grid,
     polar_cut,
 )
@@ -57,9 +57,9 @@ from .report import num, report_text
 from .rssi import (
     AtLogParseError,
     compare_datasets,
+    dbm_levels,
     parse_at_csq_log,
     parse_rssi_csv,
-    rssi_to_dbm,
 )
 from .svgplot import line_plot_svg
 from .touchstone import (
@@ -109,12 +109,24 @@ class RunConfig:
             raise InputError(
                 f"config value fixture must be one of {FIXTURE_MODES}", key="fixture"
             )
-        for key in ("theta_step_deg", "phi_step_deg"):
+        # Each step alone (the other axis at its coarsest), then the grid they
+        # make together, which is blamed on the axis with more points.
+        coarsest = {"theta_step_deg": 180.0, "phi_step_deg": 180.0}
+        for key in coarsest:
             step = getattr(self, key)
             try:
-                make_grid(**{key: step})
+                grid_shape(**{**coarsest, key: step})
             except ValueError as exc:
                 raise InputError(f"config value {key} = {step:g}: {exc}", key=key) from None
+        try:
+            grid_shape(self.theta_step_deg, self.phi_step_deg)
+        except ValueError as exc:
+            more_theta = 180.0 / self.theta_step_deg > 360.0 / self.phi_step_deg
+            raise InputError(
+                f"config values theta_step_deg = {self.theta_step_deg:g}, "
+                f"phi_step_deg = {self.phi_step_deg:g}: {exc}",
+                key="theta_step_deg" if more_theta else "phi_step_deg",
+            ) from None
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -148,34 +160,84 @@ def load_config(path: str | Path) -> RunConfig:
         raise InputError(f"{path}: line {lines[exc.key]}: {exc}") from None
 
 
-def _effective_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the ``--config`` file, then the flags (each flag's dest is its key)."""
+def _effective_config(args: argparse.Namespace, flags: dict[str, str]) -> RunConfig:
+    """Defaults, then the ``--config`` file, then the flags (each flag's dest is its key).
+
+    ``flags`` maps each dest to its flag, which names a rejected flag value.
+    """
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {
         f.name: getattr(args, f.name)
         for f in fields(RunConfig)
         if getattr(args, f.name, None) is not None
     }
-    return replace(cfg, **overrides)
+    try:
+        return replace(cfg, **overrides)
+    except InputError as exc:
+        if exc.key not in overrides:
+            raise
+        raise InputError(f"{flags[exc.key]}: {exc}", key=exc.key) from None
+
+
+def _option_flags(parser: argparse.ArgumentParser) -> dict[str, str]:
+    """Each option's dest -> its first flag, over ``parser`` and its subcommands."""
+    flags = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags.update(_option_flags(sub))
+        elif action.option_strings:
+            flags[action.dest] = action.option_strings[0]
+    return flags
 
 
 # ---------------------------------------------------------------------------
 # CSV and report emission
 
 
+# Rows per ``%`` operation: bounds the text held at once, not a setting.
+_CSV_BLOCK_ROWS = 4096
+
+
+def _csv_text(column) -> list[str]:
+    """A text column's cells as ``csv.writer`` writes them: quoted when they hold , " CR or LF."""
+    cells = list(map(str, column))
+    if not any(ch in "".join(cells) for ch in ',"\r\n'):
+        return cells
+    return [
+        '"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\r\n') else c
+        for c in cells
+    ]
+
+
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length columns under ``header``; numpy arrays are printed by ``num``."""
-    cells = [map(num, c) if isinstance(c, np.ndarray) else c for c in columns]
+    """Write equal-length columns under ``header`` with CRLF rows.
+
+    numpy arrays print as ``num`` does (``%.9g``); any other column is text.
+    Each block of rows is one ``%`` format over a flat tuple of its cells.
+    """
+    columns = [c if isinstance(c, np.ndarray) else _csv_text(c) for c in columns]
+    numeric = all(isinstance(c, np.ndarray) for c in columns)
+    n_rows = len(columns[0]) if columns else 0
+    row = ",".join("%.9g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cells))
+        fh.write(",".join(_csv_text(header)) + "\r\n")
+        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = [c[lo:lo + _CSV_BLOCK_ROWS] for c in columns]
+            if numeric:
+                table = np.column_stack(block)
+            else:
+                table = np.empty((len(block[0]), len(block)), dtype=object)
+                for i, cells in enumerate(block):
+                    table[:, i] = cells
+            fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _magnitude(z: np.ndarray) -> np.ndarray:
-    # Scalar abs, not np.abs: numpy's vectorised complex modulus can differ in
-    # the last bit, which would move the .9g text of some rows.
-    return np.array([abs(v) for v in z], dtype=float)
+    # np.hypot, not np.abs: like scalar abs(complex), np.hypot calls the C
+    # library's hypot, so the two agree bit for bit.  numpy's complex abs kernel
+    # can differ in the last bit, which would move the .9g text of some rows.
+    return np.hypot(z.real, z.imag)
 
 
 def _db_below_peak(values: np.ndarray) -> np.ndarray:
@@ -229,10 +291,11 @@ def write_lobes_csv(path: Path, lobes) -> None:
 
 def write_rssi_csv(path: Path, dataset) -> None:
     samples = dataset.samples
+    codes = [s.rssi for s in samples]
     columns = [
         [s.timestamp.isoformat() for s in samples],
-        [str(s.rssi) for s in samples],
-        np.array([rssi_to_dbm(s.rssi) if s.known else math.nan for s in samples]),
+        codes,
+        dbm_levels(np.array(codes, dtype=int)),
     ]
     _write_csv(path, ["timestamp", "rssi", "dbm"], columns)
 
@@ -535,6 +598,10 @@ def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
+# Largest synth sweep accepted, checked before the sweep is built.
+MAX_SWEEP_POINTS = 1_000_000
+
+
 def _sweep(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -546,6 +613,10 @@ def _sweep(spec: str) -> np.ndarray:
     if not (0 < start < stop < math.inf) or points < 2:
         raise argparse.ArgumentTypeError(
             "sweep needs finite 0 < start < stop and at least 2 points"
+        )
+    if points > MAX_SWEEP_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"{points} sweep points exceed the budget of {MAX_SWEEP_POINTS}"
         )
     return np.linspace(start, stop, points)
 
@@ -661,7 +732,7 @@ def run_command(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code or 0)
     try:
-        cfg = _effective_config(args)
+        cfg = _effective_config(args, _option_flags(parser))
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         return args.func(args, cfg)
     except (TouchstoneParseError, AtLogParseError, InputError, OSError) as exc:

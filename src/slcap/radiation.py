@@ -29,6 +29,7 @@ __all__ = [
     "ArrayLayout",
     "RadiationPattern",
     "Lobe",
+    "grid_shape",
     "make_grid",
     "evaluate_pattern",
     "directivity",
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
+# Largest (theta, phi) grid accepted, checked before any grid is built.
+MAX_GRID_CELLS = 10_000_000
 
 ISOTROPIC = "isotropic"
 HERTZIAN_DIPOLE = "hertzian-dipole"
@@ -154,16 +157,41 @@ class Lobe:
     degenerate: bool = False
 
 
+def _steps(step_deg: float, span_deg: float) -> int:
+    if not step_deg > 0:
+        raise ValueError("grid steps must be positive")
+    if span_deg / step_deg > MAX_GRID_CELLS:
+        raise ValueError(
+            f"a {step_deg:g} deg step exceeds the budget of {MAX_GRID_CELLS} grid cells"
+        )
+    n = round(span_deg / step_deg)
+    if abs(n * step_deg - span_deg) > 1e-9:
+        raise ValueError("grid steps must divide 180 and 360 degrees evenly")
+    return n
+
+
+def grid_shape(theta_step_deg: float = 1.0, phi_step_deg: float = 1.0) -> tuple[int, int]:
+    """Sizes of :func:`make_grid`'s theta and phi grids, checked without building them.
+
+    Raises ValueError for a step that is not positive or does not divide 180
+    (theta) or 360 (phi) degrees, for a single phi point, and for a grid of
+    over ``MAX_GRID_CELLS``.
+    """
+    n_theta, n_phi = _steps(theta_step_deg, 180.0) + 1, _steps(phi_step_deg, 360.0)
+    if n_phi < 2:
+        raise ValueError("the phi step must be at most 180 degrees")
+    if n_theta * n_phi > MAX_GRID_CELLS:
+        raise ValueError(
+            f"a {n_theta} x {n_phi} grid exceeds the budget of {MAX_GRID_CELLS} cells"
+        )
+    return n_theta, n_phi
+
+
 def make_grid(theta_step_deg: float = 1.0, phi_step_deg: float = 1.0):
     """Uniform (theta, phi) grids: [0, pi] inclusive and [0, 2 pi) exclusive."""
-    if theta_step_deg <= 0 or phi_step_deg <= 0:
-        raise ValueError("grid steps must be positive")
-    n_t = round(180.0 / theta_step_deg)
-    n_p = round(360.0 / phi_step_deg)
-    if abs(n_t * theta_step_deg - 180.0) > 1e-9 or abs(n_p * phi_step_deg - 360.0) > 1e-9:
-        raise ValueError("grid steps must divide 180 and 360 degrees evenly")
-    theta = np.linspace(0.0, math.pi, n_t + 1)
-    phi = np.linspace(0.0, 2.0 * math.pi, n_p, endpoint=False)
+    n_theta, n_phi = grid_shape(theta_step_deg, phi_step_deg)
+    theta = np.linspace(0.0, math.pi, n_theta)
+    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     return theta, phi
 
 

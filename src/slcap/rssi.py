@@ -27,6 +27,7 @@ __all__ = [
     "parse_at_csq_log",
     "parse_rssi_csv",
     "rssi_to_dbm",
+    "dbm_levels",
     "dbm_to_rssi",
     "check_dbm_mapping",
     "WelchResult",
@@ -162,6 +163,11 @@ def rssi_to_dbm(rssi: int) -> float:
     if not 0 <= rssi <= 31:
         raise ValueError(f"rssi {rssi} outside 0..31")
     return _DBM_OFFSET + _DBM_STEP * rssi
+
+
+def dbm_levels(codes: np.ndarray) -> np.ndarray:
+    """:func:`rssi_to_dbm` of each parsed code at once; the unknown code 99 reads nan."""
+    return np.where(codes == RSSI_UNKNOWN, math.nan, _DBM_OFFSET + _DBM_STEP * codes)
 
 
 def dbm_to_rssi(dbm: float) -> int:

@@ -247,45 +247,56 @@ def parse_touchstone(text: str) -> NetworkData:
     return NetworkData(frequencies_hz=np.array(freqs), s=s, z0_ohm=fmt.z0_ohm)
 
 
-def _fmt_num(x: float) -> str:
-    # repr() is the shortest string that round-trips the exact float value.
-    return repr(float(x))
-
-
 def _fmt_z0(z0: float) -> str:
     return str(int(z0)) if z0 == int(z0) else repr(float(z0))
 
 
-def _entry_pair(encoding: str, value: complex) -> tuple[float, float]:
+# Rows per ``%`` operation: bounds the text held at once, not a setting.
+_BLOCK_ROWS = 4096
+
+
+def _pairs(encoding: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two numbers written for each entry of ``z`` in ``encoding``.
+
+    np.hypot and np.degrees match scalar ``abs`` and ``math.degrees`` bit for
+    bit; np.arctan2 and np.log10 can differ in the last bit, and ``%r`` prints
+    every bit, so the angle and the dB level stay ``math`` calls per entry.
+    """
     if encoding == "ri":
-        return value.real, value.imag
-    mag = abs(value)
-    ang = math.degrees(math.atan2(value.imag, value.real))
+        return z.real, z.imag
+    shape = z.shape
+    angle = list(map(math.atan2, z.imag.ravel().tolist(), z.real.ravel().tolist()))
+    ang = np.degrees(np.array(angle)).reshape(shape)
+    mag = np.hypot(z.real, z.imag)
     if encoding == "ma":
         return mag, ang
     # dB of an exact zero has no finite representation; floor keeps the file
     # parseable and the reconstructed value indistinguishable from zero.
-    return 20.0 * math.log10(max(mag, 1e-30)), ang
+    floored = np.maximum(mag, 1e-30).ravel().tolist()
+    return 20.0 * np.array(list(map(math.log10, floored))).reshape(shape), ang
 
 
 def write_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None) -> str:
-    """Serialize ``net`` as a Touchstone v1 document in the requested format."""
+    """Serialize ``net`` as a Touchstone v1 document in the requested format.
+
+    Every number is ``repr`` of a float, the shortest text that reads back to
+    the same value.  Each block of rows is one ``%r`` format over a float table.
+    """
     if fmt is None:
         fmt = TouchstoneFormat(z0_ohm=net.z0_ohm)
     scale = UNIT_SCALE[fmt.unit]
-    lines = [f"# {_UNIT_DISPLAY[fmt.unit]} S {fmt.encoding.upper()} R {_fmt_z0(fmt.z0_ohm)}"]
-    for k in range(net.n_points):
-        row = [_fmt_num(net.frequencies_hz[k] / scale)]
-        if net.n_ports == 1:
-            order = [net.s[k, 0, 0]]
-        else:
-            order = [net.s[k, 0, 0], net.s[k, 1, 0], net.s[k, 0, 1], net.s[k, 1, 1]]
-        for entry in order:
-            a, b = _entry_pair(fmt.encoding, complex(entry))
-            row.append(_fmt_num(a))
-            row.append(_fmt_num(b))
-        lines.append(" ".join(row))
-    return "\n".join(lines) + "\n"
+    # v1 rows list S11 S21 S12 S22: column-major, hence the transpose.
+    s = net.s.transpose(0, 2, 1).reshape(net.n_points, -1)
+    n_cols = 1 + 2 * s.shape[1]
+    row = " ".join(["%r"] * n_cols) + "\n"
+    parts = [f"# {_UNIT_DISPLAY[fmt.unit]} S {fmt.encoding.upper()} R {_fmt_z0(fmt.z0_ohm)}\n"]
+    for lo in range(0, net.n_points, _BLOCK_ROWS):
+        z = s[lo:lo + _BLOCK_ROWS]
+        table = np.empty((len(z), n_cols))
+        table[:, 0] = net.frequencies_hz[lo:lo + _BLOCK_ROWS] / scale
+        table[:, 1::2], table[:, 2::2] = _pairs(fmt.encoding, z)
+        parts.append((row * len(table)) % tuple(table.ravel().tolist()))
+    return "".join(parts)
 
 
 def validate_passivity(net: NetworkData, tol: float = PASSIVITY_TOL) -> list[str]:

@@ -551,6 +551,35 @@ BAD_INPUTS = {
         {"run.cfg": "theta_step_deg = 2\nphi_step_deg = 7\n"},
         ["--config", "@run.cfg", *SYNTH, "--sweep", "1:2:3"], 2, "run.cfg: line 2: ",
     ),
+    # A rejected flag value is named by its flag, not by its config key.
+    "z0_flag": ({}, ["--z0", "-5", *SYNTH, "--sweep", "1:2:3"], 2, "--z0: "),
+    "theta_step_flag_named": (
+        {"layout.json": json.dumps(LAYOUT)},
+        ["pattern", "--layout", "@layout.json", "--theta-step", "7"], 2, "--theta-step: ",
+    ),
+    "phi_step_flag": (
+        {"layout.json": json.dumps(LAYOUT)},
+        ["pattern", "--layout", "@layout.json", "--phi-step", "7"], 2, "--phi-step: ",
+    ),
+    "phi_step_one_point": (
+        {"layout.json": json.dumps(LAYOUT)},
+        ["pattern", "--layout", "@layout.json", "--phi-step", "360"], 2, "--phi-step: ",
+    ),
+    # Size budgets, checked before anything is allocated.
+    "theta_step_budget": (
+        {"layout.json": json.dumps(LAYOUT)},
+        ["pattern", "--layout", "@layout.json", "--theta-step", "1e-9"], 2, "--theta-step: ",
+    ),
+    "grid_budget_flags": (
+        {"layout.json": json.dumps(LAYOUT)},
+        ["pattern", "--layout", "@layout.json", "--theta-step", "0.01", "--phi-step", "0.01"],
+        2, "--phi-step: ",
+    ),
+    "grid_budget_config": (
+        {"run.cfg": "theta_step_deg = 0.01\nphi_step_deg = 0.01\n"},
+        ["--config", "@run.cfg", *SYNTH, "--sweep", "1:2:3"], 2, "run.cfg: line 2: ",
+    ),
+    "sweep_budget": ({}, [*SYNTH, "--sweep", "1:2:10000000000"], 2, "--sweep"),
 }
 
 

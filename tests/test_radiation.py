@@ -16,6 +16,7 @@ from slcap import (
     evaluate_pattern,
     find_lobes,
     gain,
+    grid_shape,
     make_grid,
     polar_cut,
 )
@@ -65,9 +66,22 @@ class TestGrid:
         theta, phi = make_grid(5.0, 10.0)
         assert theta.size == 37 and phi.size == 36
 
-    @pytest.mark.parametrize("steps", [(7.0, 1.0), (1.0, 7.0), (0.0, 1.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize(
+        "steps", [(7.0, 1.0), (1.0, 7.0), (0.0, 1.0), (-1.0, 1.0), (1.0, 360.0)]
+    )
     def test_invalid_steps(self, steps):
         with pytest.raises(ValueError):
+            make_grid(*steps)
+
+    def test_shape_without_building(self):
+        assert grid_shape() == (181, 360)
+        assert grid_shape(0.25, 1.0) == (721, 360)
+
+    # Each is rejected before a grid is built: 1.8e11 theta points, a step too
+    # small to round, and 18001 x 36000 cells.
+    @pytest.mark.parametrize("steps", [(1e-9, 1.0), (1.0, 1e-320), (0.01, 0.01)])
+    def test_budget(self, steps):
+        with pytest.raises(ValueError, match="budget"):
             make_grid(*steps)
 
 

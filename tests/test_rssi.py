@@ -11,6 +11,7 @@ from slcap import (
     RssiSample,
     check_dbm_mapping,
     compare_datasets,
+    dbm_levels,
     dbm_to_rssi,
     format_p_value,
     parse_at_csq_log,
@@ -138,6 +139,12 @@ class TestDbmMapping:
     def test_unknown_code_raises(self):
         with pytest.raises(ValueError, match="unknown"):
             rssi_to_dbm(99)
+
+    def test_levels_of_a_code_array(self):
+        codes = np.array([*range(32), 99, 5])
+        levels = dbm_levels(codes)
+        assert levels[:32].tolist() == [rssi_to_dbm(code) for code in range(32)]
+        assert np.isnan(levels[32]) and levels[33] == rssi_to_dbm(5)
 
     @pytest.mark.parametrize("code", [-1, 32, 55])
     def test_out_of_range_codes(self, code):
