@@ -61,10 +61,7 @@ for flag in check_dbm_mapping([(11, -89.0), (13, -89.0)]):
 # Welch's t-test on the known readings: unequal variances allowed, so
 # it is safe for small, scrappy field samples.
 
-res = welch_t_test(
-    [s.rssi for s in novel.samples if s.rssi != 99],
-    [s.rssi for s in baseline.samples if s.rssi != 99],
-)
+res = welch_t_test(novel.known_rssi(), baseline.known_rssi())
 print(f"t = {res.t:.3f}, df = {res.df:.2f}, p = {format_p_value(res.p_value)}")
 
 # ----------------------------------------------------------------------

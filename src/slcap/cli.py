@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,12 +78,12 @@ __all__ = ["RunConfig", "InputError", "load_config", "run_command", "main"]
 class InputError(ValueError):
     """User-input problem (bad file, bad config, bad option value): exit code 2.
 
-    ``key`` names the config setting at fault, when there is one.
+    ``keys`` names the config settings at fault, if any; of two, the second is blamed.
     """
 
-    def __init__(self, message: str, key: str | None = None):
+    def __init__(self, message: str, keys: tuple[str, ...] = ()):
         super().__init__(message)
-        self.key = key
+        self.keys = keys
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,10 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, float) and not (value > 0 and math.isfinite(value)):
-                raise InputError(f"config value {f.name} must be positive", key=f.name)
+                raise InputError(f"config value {f.name} must be positive", keys=(f.name,))
         if self.fixture not in FIXTURE_MODES:
             raise InputError(
-                f"config value fixture must be one of {FIXTURE_MODES}", key="fixture"
+                f"config value fixture must be one of {FIXTURE_MODES}", keys=("fixture",)
             )
         # Each step alone (the other axis at its coarsest), then the grid they
         # make together, which is blamed on the axis with more points.
@@ -117,24 +117,32 @@ class RunConfig:
             try:
                 grid_shape(**{**coarsest, key: step})
             except ValueError as exc:
-                raise InputError(f"config value {key} = {step:g}: {exc}", key=key) from None
+                raise InputError(f"config value {key} = {step:g}: {exc}", keys=(key,)) from None
         try:
             grid_shape(self.theta_step_deg, self.phi_step_deg)
         except ValueError as exc:
-            more_theta = 180.0 / self.theta_step_deg > 360.0 / self.phi_step_deg
+            keys = ("phi_step_deg", "theta_step_deg")
+            if 180.0 / self.theta_step_deg <= 360.0 / self.phi_step_deg:
+                keys = keys[::-1]
             raise InputError(
                 f"config values theta_step_deg = {self.theta_step_deg:g}, "
                 f"phi_step_deg = {self.phi_step_deg:g}: {exc}",
-                key="theta_step_deg" if more_theta else "phi_step_deg",
+                keys=keys,
             ) from None
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Read a plain ``key = value`` config file; unknown keys are rejected."""
+def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
+    """Read a plain ``key = value`` config file, if any, then apply ``overrides``.
+
+    Unknown keys are rejected.  ``overrides`` maps a key to a (value, origin)
+    pair, the origin such as a flag.  The merged values are checked once, and a
+    rejection names where each value at fault came from: ``{path}: line N``,
+    its override's origin, or ``default``.
+    """
     defaults = {f.name: f.default for f in fields(RunConfig)}
     values: dict[str, object] = {}
-    lines: dict[str, int] = {}
-    for line_number, raw in enumerate(_read_text(path).splitlines(), start=1):
+    origins: dict[str, str] = {}
+    for line_number, raw in enumerate(_read_text(path).splitlines() if path else [], start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -144,7 +152,7 @@ def load_config(path: str | Path) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in defaults:
             raise InputError(f"{path}: line {line_number}: unknown key {key!r}")
-        lines[key] = line_number
+        origins[key] = f"{path}: line {line_number}"
         if not isinstance(defaults[key], float):
             values[key] = value
             continue
@@ -154,29 +162,28 @@ def load_config(path: str | Path) -> RunConfig:
             raise InputError(
                 f"{path}: line {line_number}: {key} needs a number, got {value!r}"
             ) from None
+    for key, (value, origin) in (overrides or {}).items():
+        values[key], origins[key] = value, origin
     try:
         return RunConfig(**values)
     except InputError as exc:
-        raise InputError(f"{path}: line {lines[exc.key]}: {exc}") from None
+        if not exc.keys:
+            raise
+        where = " and ".join(origins.get(key, "default") for key in exc.keys)
+        raise InputError(f"{where}: {exc}") from None
 
 
 def _effective_config(args: argparse.Namespace, flags: dict[str, str]) -> RunConfig:
     """Defaults, then the ``--config`` file, then the flags (each flag's dest is its key).
 
-    ``flags`` maps each dest to its flag, which names a rejected flag value.
+    ``flags`` maps each dest to its flag, the origin of a flag's value.
     """
-    cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {
-        f.name: getattr(args, f.name)
+        f.name: (getattr(args, f.name), flags[f.name])
         for f in fields(RunConfig)
         if getattr(args, f.name, None) is not None
     }
-    try:
-        return replace(cfg, **overrides)
-    except InputError as exc:
-        if exc.key not in overrides:
-            raise
-        raise InputError(f"{flags[exc.key]}: {exc}", key=exc.key) from None
+    return load_config(args.config, overrides)
 
 
 def _option_flags(parser: argparse.ArgumentParser) -> dict[str, str]:
@@ -290,13 +297,7 @@ def write_lobes_csv(path: Path, lobes) -> None:
 
 
 def write_rssi_csv(path: Path, dataset) -> None:
-    samples = dataset.samples
-    codes = [s.rssi for s in samples]
-    columns = [
-        [s.timestamp.isoformat() for s in samples],
-        codes,
-        dbm_levels(np.array(codes, dtype=int)),
-    ]
+    columns = [[t.isoformat() for t in dataset.timestamps], dataset.rssi, dbm_levels(dataset.rssi)]
     _write_csv(path, ["timestamp", "rssi", "dbm"], columns)
 
 
@@ -586,11 +587,11 @@ def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
     _write_csv(out / "comparison.csv", ["key", "value"], zip(*rows))
     _emit_report(out / "comparison.txt", rows)
     if args.svg:
-        known = [s for s in novel.samples if s.known]
-        if known:
+        known = novel.known_rssi()
+        if known.size:
             svg = line_plot_svg(
-                np.arange(len(known)),
-                [("novel rssi", np.array([s.rssi for s in known], dtype=float))],
+                np.arange(known.size),
+                [("novel rssi", known)],
                 xlabel="sample",
                 ylabel="rssi",
             )

@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
@@ -22,7 +22,6 @@ from .report import num, report_text
 __all__ = [
     "RSSI_UNKNOWN",
     "AtLogParseError",
-    "RssiSample",
     "RssiDataset",
     "parse_at_csq_log",
     "parse_rssi_csv",
@@ -41,7 +40,10 @@ RSSI_UNKNOWN = 99
 _DBM_OFFSET = -113.0
 _DBM_STEP = 2.0
 
-_CSQ_LINE = re.compile(r"^(?P<ts>.+?)\s+\+CSQ:\s*(?P<rssi>\d+)\s*,\s*(?P<ber>\d+)\s*$")
+# Matched in full against one stripped line.  The codes hold no "+", so the timestamp
+# ends at the whitespace before the last "+CSQ:", which a greedy ``.*\S`` finds from the
+# end with less backtracking than ``.+?`` from the start.
+_CSQ_LINE = re.compile(r"(?P<ts>.*\S)\s+\+CSQ:\s*(?P<rssi>\d+)\s*,\s*(?P<ber>\d+)\s*")
 
 
 class AtLogParseError(ValueError):
@@ -52,62 +54,102 @@ class AtLogParseError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
+class _CodeRangeError(ValueError):
+    """A code outside its range; ``index`` is the reading's row."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
-class RssiSample:
-    """One +CSQ reading.  ber is retained but unused by the statistics."""
-
-    timestamp: datetime
-    rssi: int
-    ber: int
-
-    def __post_init__(self):
-        if not (0 <= self.rssi <= 31 or self.rssi == RSSI_UNKNOWN):
-            raise ValueError(f"rssi {self.rssi} outside 0..31 / 99")
-        if not (0 <= self.ber <= 7 or self.ber == RSSI_UNKNOWN):
-            raise ValueError(f"ber {self.ber} outside 0..7 / 99")
-
-    @property
-    def known(self) -> bool:
-        return self.rssi != RSSI_UNKNOWN
-
-
-@dataclass
 class RssiDataset:
-    """A labelled series of readings from one antenna in one environment."""
+    """A labelled series of readings from one antenna in one environment, as columns.
 
-    samples: list[RssiSample]
+    ``timestamps`` is a tuple of ``datetime``; ``rssi`` and ``ber`` are int64 arrays of the
+    same length.  The codes are checked as arrays of Python ints before the cast, so one
+    past int64 is reported, not wrapped: the first rssi outside 0..31 or ber outside 0..7,
+    other than 99 (unknown), raises ValueError.  ber is kept but unused by the statistics.
+    """
+
+    timestamps: tuple[datetime, ...]
+    rssi: np.ndarray
+    ber: np.ndarray
     environment: str = ""
     antenna: str = ""
 
+    def __post_init__(self):
+        rssi, ber = np.array(self.rssi, dtype=object), np.array(self.ber, dtype=object)
+        if rssi.shape != (len(self.timestamps),) or ber.shape != rssi.shape:
+            raise ValueError("timestamps, rssi and ber must be columns of one length")
+        bad_rssi = ((rssi < 0) | (rssi > 31)) & (rssi != RSSI_UNKNOWN)
+        bad_ber = ((ber < 0) | (ber > 7)) & (ber != RSSI_UNKNOWN)
+        bad = np.flatnonzero(bad_rssi | bad_ber)
+        if bad.size:
+            i = int(bad[0])
+            if bad_rssi[i]:
+                raise _CodeRangeError(i, f"rssi {rssi[i]} outside 0..31 / 99")
+            raise _CodeRangeError(i, f"ber {ber[i]} outside 0..7 / 99")
+        object.__setattr__(self, "timestamps", tuple(self.timestamps))
+        object.__setattr__(self, "rssi", rssi.astype(np.int64))
+        object.__setattr__(self, "ber", ber.astype(np.int64))
+
+    @property
+    def known(self) -> np.ndarray:
+        """True where the rssi code is a level, not 99 (unknown)."""
+        return self.rssi != RSSI_UNKNOWN
+
     def known_rssi(self) -> np.ndarray:
-        return np.array([s.rssi for s in self.samples if s.known], dtype=float)
+        return self.rssi[self.known].astype(float)
 
     @property
     def n_samples(self) -> int:
-        return len(self.samples)
+        return self.rssi.size
 
     @property
     def n_known(self) -> int:
-        return sum(1 for s in self.samples if s.known)
+        return int(np.count_nonzero(self.known))
 
 
-def _parse_timestamp(text: str, line_number: int) -> datetime:
-    cleaned = text.strip()
-    if cleaned.endswith(("Z", "z")):
-        cleaned = cleaned[:-1] + "+00:00"
+def _dataset(numbers, fields, fault, int_message, environment, antenna) -> RssiDataset:
+    """The dataset of the readings on lines ``numbers``.
+
+    Each of ``fields`` is a reading's (timestamp, rssi, ber) texts, or the message of the
+    format's own error on its line; ``fault`` is an error after the last of them, or None.
+    Each check runs only on the readings before the first that failed an earlier one, so the
+    first bad line is reported, and on it the checks run in the order format, timestamp,
+    integers, ranges.  A failed ``int`` reads ``int_message``, or its own text.  ``fields``
+    is emptied once its columns are taken, to free its rows early.
+    """
+    bad = [type(f) is str for f in fields]
+    if True in bad:
+        n = bad.index(True)
+        fault = AtLogParseError(numbers[n], fields[n])
+        del fields[n:]
+    # A comprehension per column: zip(*fields) would make a tracked iterator per row.
+    ts_texts = [f[0].strip() for f in fields]
+    codes, levels = [f[1] for f in fields], [f[2] for f in fields]
+    n = len(fields)
+    fields.clear()
+    cleaned = [ts[:-1] + "+00:00" if ts[-1:] in ("Z", "z") else ts for ts in ts_texts]
+    stamps, rssi, ber = [], [], []
+    for column, convert, texts in (
+        (stamps, datetime.fromisoformat, cleaned), (rssi, int, codes), (ber, int, levels)
+    ):
+        try:  # extend keeps what it appended before the item that raised
+            column.extend(map(convert, texts[:n]))
+        except ValueError as exc:
+            n = len(column)
+            fault = AtLogParseError(numbers[n], f"timestamp {ts_texts[n]!r} is not ISO-8601"
+                                    if column is stamps else int_message or str(exc))
+    del cleaned, stamps[n:], rssi[n:]
     try:
-        return datetime.fromisoformat(cleaned)
-    except ValueError:
-        raise AtLogParseError(
-            line_number, f"timestamp {text.strip()!r} is not ISO-8601"
-        ) from None
-
-
-def _make_sample(ts: datetime, rssi: int, ber: int, line_number: int) -> RssiSample:
-    try:
-        return RssiSample(timestamp=ts, rssi=rssi, ber=ber)
-    except ValueError as exc:
-        raise AtLogParseError(line_number, str(exc)) from None
+        dataset = RssiDataset(stamps, rssi, ber, environment, antenna)
+    except _CodeRangeError as exc:
+        raise AtLogParseError(numbers[exc.index], str(exc)) from None
+    if fault is not None:
+        raise fault
+    return dataset
 
 
 def parse_at_csq_log(text: str, environment: str = "", antenna: str = "") -> RssiDataset:
@@ -117,43 +159,37 @@ def parse_at_csq_log(text: str, environment: str = "", antenna: str = "") -> Rss
     match the +CSQ line grammar; violations raise :class:`AtLogParseError`
     with the line number.
     """
-    samples = []
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _CSQ_LINE.match(line)
-        if m is None:
-            raise AtLogParseError(line_number, f"not a +CSQ reading: {line!r}")
-        ts = _parse_timestamp(m.group("ts"), line_number)
-        samples.append(
-            _make_sample(ts, int(m.group("rssi")), int(m.group("ber")), line_number)
-        )
-    return RssiDataset(samples=samples, environment=environment, antenna=antenna)
+    lines = [raw.strip() for raw in text.splitlines()]
+    numbers = [n for n, line in enumerate(lines, start=1) if line and line[0] != "#"]
+    data = [lines[n - 1] for n in numbers]
+    del lines
+    fields = [m.groups() if m else f"not a +CSQ reading: {line!r}"
+              for line, m in zip(data, map(_CSQ_LINE.fullmatch, data))]
+    del data
+    return _dataset(numbers, fields, None, None, environment, antenna)
 
 
 def parse_rssi_csv(text: str, environment: str = "", antenna: str = "") -> RssiDataset:
-    """Alternative CSV ingestion with exact header ``timestamp,rssi,ber``."""
+    """Alternative CSV ingestion with exact header ``timestamp,rssi,ber``.
+
+    Empty records are skipped; the line numbers in errors count records.
+    """
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise AtLogParseError(1, "empty document") from None
-    if header != ["timestamp", "rssi", "ber"]:
+    records, fault = [], None
+    try:  # tuples of strings leave the garbage collector's care at its first pass
+        records.extend(map(tuple, reader))
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        fault = AtLogParseError(len(records) + 1, str(exc))
+    del reader  # and with it its copy of the text
+    if not records:
+        raise fault or AtLogParseError(1, "empty document")
+    header = records[0]
+    if header != ("timestamp", "rssi", "ber"):
         raise AtLogParseError(1, f"expected header timestamp,rssi,ber; got {','.join(header)!r}")
-    samples = []
-    for line_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise AtLogParseError(line_number, f"expected 3 fields, got {len(row)}")
-        ts = _parse_timestamp(row[0], line_number)
-        try:
-            rssi, ber = int(row[1]), int(row[2])
-        except ValueError:
-            raise AtLogParseError(line_number, "rssi and ber must be integers") from None
-        samples.append(_make_sample(ts, rssi, ber, line_number))
-    return RssiDataset(samples=samples, environment=environment, antenna=antenna)
+    numbers = [n for n, record in enumerate(records, start=1) if record and n > 1]
+    fields = [r if len(r) == 3 else f"expected 3 fields, got {len(r)}" for r in records[1:] if r]
+    del records
+    return _dataset(numbers, fields, fault, "rssi and ber must be integers", environment, antenna)
 
 
 def rssi_to_dbm(rssi: int) -> float:
@@ -298,7 +334,7 @@ def format_p_value(p: float) -> str:
     return f"{p:.4f}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComparisonReport:
     """Summary statistics comparing a novel antenna's readings to a baseline's."""
 
@@ -308,8 +344,6 @@ class ComparisonReport:
     baseline_mean_rssi: float
     novel_sd_rssi: float
     baseline_sd_rssi: float
-    novel_n_known: int
-    baseline_n_known: int
     novel_mean_dbm: float
     baseline_mean_dbm: float
     percent_difference: float
@@ -319,7 +353,7 @@ class ComparisonReport:
     novel_area_mm2: float | None = None
     baseline_area_mm2: float | None = None
     footprint_ratio: float | None = None
-    mapping_flags: list[str] = field(default_factory=list)
+    mapping_flags: tuple[str, ...] = ()
 
     def to_rows(self) -> list[tuple[str, str]]:
         """Key-value pairs in a fixed order, shared by the text and CSV emitters."""
@@ -327,14 +361,14 @@ class ComparisonReport:
             ("novel.environment", self.novel.environment),
             ("novel.antenna", self.novel.antenna),
             ("novel.n_samples", str(self.novel.n_samples)),
-            ("novel.n_known", str(self.novel_n_known)),
+            ("novel.n_known", str(self.novel.n_known)),
             ("novel.mean_rssi", num(self.novel_mean_rssi)),
             ("novel.sd_rssi", num(self.novel_sd_rssi)),
             ("novel.mean_dbm", num(self.novel_mean_dbm)),
             ("baseline.environment", self.baseline.environment),
             ("baseline.antenna", self.baseline.antenna),
             ("baseline.n_samples", str(self.baseline.n_samples)),
-            ("baseline.n_known", str(self.baseline_n_known)),
+            ("baseline.n_known", str(self.baseline.n_known)),
             ("baseline.mean_rssi", num(self.baseline_mean_rssi)),
             ("baseline.sd_rssi", num(self.baseline_sd_rssi)),
             ("baseline.mean_dbm", num(self.baseline_mean_dbm)),
@@ -399,8 +433,6 @@ def compare_datasets(
         baseline_mean_rssi=float(b.mean()),
         novel_sd_rssi=float(a.std(ddof=1)),
         baseline_sd_rssi=float(b.std(ddof=1)),
-        novel_n_known=a.size,
-        baseline_n_known=b.size,
         novel_mean_dbm=mean_dbm_a,
         baseline_mean_dbm=mean_dbm_b,
         percent_difference=float((b.mean() - a.mean()) / b.mean() * 100.0),
@@ -410,5 +442,5 @@ def compare_datasets(
         novel_area_mm2=novel_area_mm2,
         baseline_area_mm2=baseline_area_mm2,
         footprint_ratio=footprint,
-        mapping_flags=check_dbm_mapping(claimed_dbm or []),
+        mapping_flags=tuple(check_dbm_mapping(claimed_dbm or [])),
     )

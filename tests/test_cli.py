@@ -6,6 +6,7 @@ import pytest
 
 import cases
 from slcap import TouchstoneFormat, parse_touchstone, write_touchstone
+from slcap import cli
 from slcap.cli import load_config, run_command
 
 
@@ -430,6 +431,30 @@ class TestConfigAndGlobalFlags:
         )
         err = capsys.readouterr().err
         assert f"{cfg}: line 1: config value z0_ohm must be positive" in err
+
+    def test_grid_is_checked_after_the_flags(self, tmp_path):
+        # 0.001 deg alone would make too large a grid with the default phi
+        # step; with --phi-step 90 the grid is 180001 x 4, within the budget.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theta_step_deg = 0.001\n")
+        parser = cli.build_parser()
+        args = parser.parse_args(
+            ["--config", str(cfg), "pattern", "--layout", "x.json", "--phi-step", "90"]
+        )
+        merged = cli._effective_config(args, cli._option_flags(parser))
+        assert (merged.theta_step_deg, merged.phi_step_deg) == (0.001, 90.0)
+
+    def test_grid_budget_names_file_line_and_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# grid\ntheta_step_deg = 0.009\n")
+        code = run(
+            "--config", str(cfg), "--out-dir", str(tmp_path),
+            "pattern", "--layout", "unused.json", "--phi-step", "0.5",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"--phi-step and {cfg}: line 2: config values theta_step_deg = 0.009, " in err
+        assert "20001 x 720 grid" in err
 
     def test_load_config_roundtrip(self, tmp_path):
         cfg = tmp_path / "run.cfg"

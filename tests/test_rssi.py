@@ -1,3 +1,4 @@
+import dataclasses
 from datetime import datetime, timezone
 
 import numpy as np
@@ -8,7 +9,6 @@ import oracles
 from slcap import (
     AtLogParseError,
     RssiDataset,
-    RssiSample,
     check_dbm_mapping,
     compare_datasets,
     dbm_levels,
@@ -56,17 +56,17 @@ class TestLogParsing:
 
     def test_z_suffix_timestamp(self):
         ds = parse_at_csq_log("2025-11-04T09:00:00Z +CSQ: 20,0\n")
-        assert ds.samples[0].timestamp == datetime(
+        assert ds.timestamps[0] == datetime(
             2025, 11, 4, 9, 0, tzinfo=timezone.utc
         )
 
     def test_offset_timestamp(self):
         ds = parse_at_csq_log("2025-11-04T09:00:00+02:00 +CSQ: 20,0\n")
-        assert ds.samples[0].timestamp.utcoffset().total_seconds() == 7200
+        assert ds.timestamps[0].utcoffset().total_seconds() == 7200
 
     def test_flexible_spacing(self):
         ds = parse_at_csq_log("2025-11-04T09:00:00Z   +CSQ:20 , 3\n")
-        assert ds.samples[0].rssi == 20 and ds.samples[0].ber == 3
+        assert ds.rssi[0] == 20 and ds.ber[0] == 3
 
     def test_comments_and_blanks_skipped(self):
         text = "# poll start\n\n2025-11-04T09:00:00Z +CSQ: 5,0\n\n# done\n"
@@ -75,7 +75,7 @@ class TestLogParsing:
     def test_unknown_reading_kept_but_not_known(self):
         ds = parse_at_csq_log("2025-11-04T09:00:00Z +CSQ: 99,99\n")
         assert ds.n_samples == 1 and ds.n_known == 0
-        assert not ds.samples[0].known
+        assert not ds.known[0]
 
     @pytest.mark.parametrize(
         ("text", "line", "pattern"),
@@ -105,7 +105,7 @@ class TestCsvParsing:
         text = "timestamp,rssi,ber\n2025-11-04T09:00:00Z,20,0\n2025-11-04T09:01:00Z,99,99\n"
         ds = parse_rssi_csv(text)
         assert ds.n_samples == 2 and ds.n_known == 1
-        assert ds.samples[0].rssi == 20
+        assert ds.rssi[0] == 20
 
     @pytest.mark.parametrize(
         ("text", "line", "pattern"),
@@ -339,28 +339,31 @@ class TestComparison:
 
 
 class TestSampleValidation:
+    STAMP = datetime(2025, 11, 4, tzinfo=timezone.utc)
+
     def test_valid_sample(self):
-        s = RssiSample(
-            timestamp=datetime(2025, 11, 4, tzinfo=timezone.utc), rssi=20, ber=0
-        )
-        assert s.known
+        ds = RssiDataset(timestamps=(self.STAMP,), rssi=np.array([20]), ber=np.array([0]))
+        assert ds.known[0]
 
     @pytest.mark.parametrize(("rssi", "ber"), [(-1, 0), (32, 0), (20, 8), (20, -2)])
     def test_invalid_fields(self, rssi, ber):
         with pytest.raises(ValueError):
-            RssiSample(
-                timestamp=datetime(2025, 11, 4, tzinfo=timezone.utc),
-                rssi=rssi,
-                ber=ber,
-            )
+            RssiDataset(timestamps=(self.STAMP,), rssi=np.array([rssi]), ber=np.array([ber]))
 
     def test_dataset_known_view(self):
         ds = RssiDataset(
-            samples=[
-                RssiSample(datetime(2025, 11, 4, tzinfo=timezone.utc), 10, 0),
-                RssiSample(datetime(2025, 11, 4, tzinfo=timezone.utc), 99, 99),
-                RssiSample(datetime(2025, 11, 4, tzinfo=timezone.utc), 12, 1),
-            ]
+            timestamps=(self.STAMP,) * 3,
+            rssi=np.array([10, 99, 12]),
+            ber=np.array([0, 99, 1]),
         )
         np.testing.assert_array_equal(ds.known_rssi(), [10, 12])
         assert ds.n_known == 2
+
+    def test_results_are_frozen(self):
+        ds = parse_at_csq_log(cases.NOVEL_LOG)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.rssi = ds.ber
+        rep = compare_datasets(ds, ds, claimed_dbm=[(11, -89.0)])
+        assert isinstance(rep.mapping_flags, tuple) and len(rep.mapping_flags) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.mapping_flags = ()

@@ -1,0 +1,112 @@
+"""Benchmark a parent commit against the working tree and record every result line.
+
+Usage, from the root of a checkout:
+
+    python3 tools/bench_pairs.py --out BENCH_7.json --runs fieldlog:1-11 \
+        --runs sweep:1-5 --runs fieldlog:1-3:trace
+
+The parent commit (``--parent``, default HEAD) is exported with ``git archive``
+to a temporary directory.  For each workload and seed, ``python3 bench/run.py
+--workload W --seed S --seconds T [--trace 1]`` runs once from that export
+and once from the working tree, odd seeds parent first and even seeds the
+working tree first; T is ``run_seconds`` from ``BENCHMARK.json``.  The last
+line each run prints, one JSON object, is kept unedited, and the file is
+rewritten after every run, so an interrupted session keeps what it measured.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_specs(spec: str) -> list[tuple[str, int, bool]]:
+    """``WORKLOAD:SEEDS[:trace]`` -> (workload, seed, trace); SEEDS as ``3``, ``1-10``, ``1,4``."""
+    parts = spec.split(":")
+    if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] != "trace"):
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEEDS[:trace], got {spec!r}")
+    seeds = []
+    try:
+        for item in parts[1].split(","):
+            lo, _, hi = item.partition("-")
+            seeds += range(int(lo), int(hi or lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad seeds in {spec!r}") from None
+    return [(parts[0], seed, len(parts) == 3) for seed in seeds]
+
+
+def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", f"{seconds:g}", "--trace", str(int(trace))]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}: "
+                           f"{proc.stderr[-500:]}")
+    return json.loads(lines[-1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", default="HEAD", help="commit to compare against (default HEAD)")
+    parser.add_argument("--out", required=True, help="JSON file to write, such as BENCH_7.json")
+    parser.add_argument("--runs", type=run_specs, action="append", required=True,
+                        metavar="WORKLOAD:SEEDS[:trace]")
+    args = parser.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+
+    commit = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
+                            capture_output=True, text=True, check=True).stdout.strip()
+    doc = {
+        "what": f"bench/run.py result lines, parent commit {commit} and this change, "
+                "each side run from its own checkout",
+        "command": f"python3 bench/run.py --workload <workload> --seed <seed> "
+                   f"--seconds {seconds:g} --trace <trace>",
+        "trace": "0 unless a record says \"trace\": 1",
+        "order": "pairs alternate: odd seeds run the parent first, even seeds the change first",
+        "machine": f"{os.cpu_count()}-CPU {platform.machine()}, "
+                   f"Python {platform.python_version()}, numpy {np.__version__}",
+        "runs": [],
+    }
+    out = Path(args.out)
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp) / "parent"
+        parent.mkdir()
+        archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True,
+                                 check=True)
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        for workload, seed, trace in (run for spec in args.runs for run in spec):
+            sides = [("parent", parent), ("change", ROOT)]
+            for side, checkout in sides if seed % 2 else sides[::-1]:
+                result = bench(checkout, workload, seed, seconds, trace)
+                record = {"side": side, "workload": workload, "seed": seed}
+                if trace:
+                    record["trace"] = 1
+                doc["runs"].append({**record, "result": result})
+                _write(out, doc)
+                metrics = result["metrics"]
+                shown = metrics.get("wall_s", metrics.get("trace.inproc_s"))
+                print(f"{side} {workload} seed {seed}{' traced' if trace else ''}: {shown}",
+                      file=sys.stderr, flush=True)
+    return 0
+
+
+def _write(path: Path, doc: dict) -> None:
+    """BENCH_6.json's layout: the header keys, then one run per line."""
+    head = {k: v for k, v in doc.items() if k != "runs"}
+    lines = [f"  {json.dumps(k)}: {json.dumps(v)}," for k, v in head.items()]
+    runs = ",\n".join(f"    {json.dumps(run)}" for run in doc["runs"])
+    path.write_text("{\n" + "\n".join(lines) + '\n  "runs": [\n' + runs + "\n  ]\n}\n")
+
+
+if __name__ == "__main__":
+    sys.exit(main())
