@@ -326,7 +326,10 @@ def _read_input(path: str) -> str:
 
 
 def _profile_from_file(path: str, cfg: RunConfig):
-    net = parse_touchstone(_read_input(path))
+    try:
+        net = parse_touchstone(_read_input(path))
+    except TouchstoneParseError as exc:
+        raise InputError(f"{path}: {exc}") from None
     for warning in validate_passivity(net):
         print(f"warning: {warning}", file=sys.stderr)
     try:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import freeze_arrays
 from .impedance import ImpedanceProfile, _reflection, impedance_at
 
 __all__ = [
@@ -101,12 +102,13 @@ class MatchingNetwork:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VswrProfile:
     """Reflection coefficient and VSWR versus frequency against ``z0_ohm``.
 
     ``unbounded`` marks points with |Gamma| at (or numerically at) unity,
     where the stored ``vswr`` is the display cap rather than the ratio.
+    The arrays are stored as read-only views.
     """
 
     frequencies_hz: np.ndarray
@@ -114,6 +116,9 @@ class VswrProfile:
     vswr: np.ndarray
     unbounded: np.ndarray
     z0_ohm: float
+
+    def __post_init__(self):
+        freeze_arrays(self)
 
     def at(self, f_hz: float) -> float:
         """Linearly interpolated VSWR at a frequency inside the sweep."""
@@ -123,13 +128,14 @@ class VswrProfile:
         return float(np.interp(f_hz, f, self.vswr))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSplit:
     """Where the accepted power goes, pointwise across the sweep.
 
     ``antenna_fraction`` + ``resistor_fraction`` = 1 (of the power past the
     input mismatch); ``reflected_fraction`` is |Gamma|^2 at the matched input
     and ``mismatch_loss_db`` = -10 log10(1 - |Gamma|^2), zero when matched.
+    The arrays are stored as read-only views.
     """
 
     frequencies_hz: np.ndarray
@@ -137,6 +143,9 @@ class PowerSplit:
     resistor_fraction: np.ndarray
     reflected_fraction: np.ndarray
     mismatch_loss_db: np.ndarray
+
+    def __post_init__(self):
+        freeze_arrays(self)
 
 
 def design_series_resistive_match(

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import freeze_arrays
 from .impedance import ImpedanceProfile
 
 __all__ = [
@@ -41,9 +42,12 @@ class ResonanceEstimates:
     min_magnitude_hz: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CapacitorMetrics:
-    """Per-frequency loss metrics; invalid and undefined points carry NaN."""
+    """Per-frequency loss metrics; invalid and undefined points carry NaN.
+
+    The arrays are stored as read-only views.
+    """
 
     frequencies_hz: np.ndarray
     esr_ohm: np.ndarray
@@ -52,6 +56,9 @@ class CapacitorMetrics:
     efficiency: np.ndarray
     q: np.ndarray
     df_defined: np.ndarray
+
+    def __post_init__(self):
+        freeze_arrays(self)
 
 
 @dataclass(frozen=True)

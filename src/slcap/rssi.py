@@ -17,6 +17,7 @@ from datetime import datetime
 
 import numpy as np
 
+from ._frozen import freeze_arrays
 from .report import num, report_text
 
 __all__ = [
@@ -62,12 +63,12 @@ class _CodeRangeError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RssiDataset:
     """A labelled series of readings from one antenna in one environment, as columns.
 
-    ``timestamps`` is a tuple of ``datetime``; ``rssi`` and ``ber`` are int64 arrays of the
-    same length.  The codes are checked as arrays of Python ints before the cast, so one
+    ``timestamps`` is a tuple of ``datetime``; ``rssi`` and ``ber`` are read-only int64 arrays
+    of the same length.  The codes are checked as arrays of Python ints before the cast, so one
     past int64 is reported, not wrapped: the first rssi outside 0..31 or ber outside 0..7,
     other than 99 (unknown), raises ValueError.  ber is kept but unused by the statistics.
     """
@@ -93,6 +94,7 @@ class RssiDataset:
         object.__setattr__(self, "timestamps", tuple(self.timestamps))
         object.__setattr__(self, "rssi", rssi.astype(np.int64))
         object.__setattr__(self, "ber", ber.astype(np.int64))
+        freeze_arrays(self)
 
     @property
     def known(self) -> np.ndarray:

@@ -9,9 +9,13 @@ every input either yields a :class:`NetworkData` or raises
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
+
+from ._frozen import freeze_arrays
 
 __all__ = [
     "NetworkData",
@@ -58,12 +62,13 @@ class TouchstoneFormat:
             raise ValueError("reference impedance must be positive and finite")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NetworkData:
     """Frequency sweep of scattering matrices against a real reference impedance.
 
     ``s`` has shape (n_points, n_ports, n_ports) with ``s[k, i, j]`` holding
     S(i+1)(j+1) at ``frequencies_hz[k]``.  Only 1- and 2-port data is supported.
+    Both arrays are stored as read-only views.
     """
 
     frequencies_hz: np.ndarray
@@ -87,8 +92,9 @@ class NetworkData:
             raise ValueError("scattering parameters must be finite")
         if not (self.z0_ohm > 0 and math.isfinite(self.z0_ohm)):
             raise ValueError("reference impedance must be positive and finite")
-        self.frequencies_hz = f
-        self.s = s
+        object.__setattr__(self, "frequencies_hz", f)
+        object.__setattr__(self, "s", s)
+        freeze_arrays(self)
 
     @property
     def n_points(self) -> int:
@@ -154,30 +160,66 @@ def _parse_option_line(line: str, line_number: int) -> TouchstoneFormat:
     )
 
 
-def _pair_to_complex(encoding: str, a: float, b: float) -> complex:
-    if encoding == "ri":
-        return complex(a, b)
-    if encoding == "ma":
-        mag, ang = a, math.radians(b)
-    else:  # db
-        mag, ang = 10.0 ** (a / 20.0), math.radians(b)
-    return complex(mag * math.cos(ang), mag * math.sin(ang))
+def _network(fmt: TouchstoneFormat, table: np.ndarray) -> NetworkData:
+    """The network of a table of data rows: frequency in Hz, then the (a, b) pairs in v1 order.
 
-
-def parse_touchstone(text: str) -> NetworkData:
-    """Parse a Touchstone v1 document into a :class:`NetworkData`.
-
-    Raises
-    ------
-    TouchstoneParseError
-        With a line number, for any deviation from the v1 grammar: v2 keyword
-        blocks, malformed or duplicated option lines, unsupported parameter
-        kinds, wrong column counts, non-numeric or non-finite values,
-        non-positive or non-increasing frequencies, or missing data.
+    RI parts are stored as they are: ``a + 1j*b`` could flip the sign of a zero.  The
+    angle's radians, cosine and sine are numpy's, which match ``math`` bit for bit;
+    ``np.power`` can differ from ``**`` in the last bit, so the dB level is a scalar
+    ``pow`` per entry.
     """
+    a, b = table[:, 1::2], table[:, 2::2]
+    s = np.empty(a.shape, dtype=complex)
+    if fmt.encoding == "ri":
+        s.real, s.imag = a, b
+    else:
+        if fmt.encoding == "db":
+            levels = (a / 20.0).ravel().tolist()
+            a = np.fromiter(map(pow, repeat(10.0), levels), float, len(levels)).reshape(a.shape)
+        angle = np.radians(b)
+        s.real, s.imag = a * np.cos(angle), a * np.sin(angle)
+    p = 1 if table.shape[1] == 3 else 2
+    # v1 rows list S11 S21 S12 S22: column-major, hence the transpose.
+    s = s.reshape(-1, p, p).transpose(0, 2, 1)
+    return NetworkData(np.ascontiguousarray(table[:, 0]), s, fmt.z0_ohm)
+
+
+def _read_array(text: str) -> tuple[TouchstoneFormat, np.ndarray] | None:
+    """The option line and the data table, the rows read in one numpy pass.
+
+    Returns None, for the line grammar to read, when the first significant line is not
+    an option line, or when numpy declines the rows or a check on them fails.  An option
+    line is parsed, and rejected, as the line grammar would.
+    """
+    lines = text.splitlines()
+    for start, raw in enumerate(lines, start=1):
+        line = raw.split("!", 1)[0].strip()
+        if line:
+            break
+    else:
+        return None
+    if not line.startswith("#"):
+        return None
+    fmt = _parse_option_line(line, start)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a block with no rows
+            table = np.loadtxt(lines[start:], comments="!", ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[0] == 0 or table.shape[1] not in (3, 9) or not np.isfinite(table).all():
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, as the line grammar's float gives
+        table[:, 0] *= UNIT_SCALE[fmt.unit]
+        if not (table[0, 0] > 0 and (np.diff(table[:, 0]) > 0).all()):
+            return None
+    return fmt, table
+
+
+def _read_lines(text: str) -> tuple[TouchstoneFormat, np.ndarray]:
+    """The option line and the data table, line by line: the grammar behind every error."""
     fmt: TouchstoneFormat | None = None
-    freqs: list[float] = []
-    matrices: list[list[complex]] = []
+    rows: list[list[float]] = []
     n_cols = None
     last_line = 0
 
@@ -223,28 +265,37 @@ def parse_touchstone(text: str) -> NetworkData:
                 line_number, f"expected {n_cols} columns, got {len(values)}"
             )
 
-        f_hz = values[0] * UNIT_SCALE[fmt.unit]
-        if f_hz <= 0:
+        values[0] *= UNIT_SCALE[fmt.unit]
+        if values[0] <= 0:
             raise TouchstoneParseError(line_number, "frequency must be positive")
-        if freqs and f_hz <= freqs[-1]:
+        if rows and values[0] <= rows[-1][0]:
             raise TouchstoneParseError(line_number, "frequencies must be strictly increasing")
-        freqs.append(f_hz)
-
-        entries = [
-            _pair_to_complex(fmt.encoding, values[k], values[k + 1])
-            for k in range(1, len(values), 2)
-        ]
-        matrices.append(entries)
+        rows.append(values)
 
     if fmt is None:
         raise TouchstoneParseError(max(last_line, 1), "missing option line")
-    if not freqs:
+    if not rows:
         raise TouchstoneParseError(max(last_line, 1), "no data rows")
+    return fmt, np.array(rows)
 
-    # v1 rows list S11 S21 S12 S22: column-major, hence the transpose.
-    p = 1 if n_cols == 3 else 2
-    s = np.array(matrices, dtype=complex).reshape(-1, p, p).transpose(0, 2, 1)
-    return NetworkData(frequencies_hz=np.array(freqs), s=s, z0_ohm=fmt.z0_ohm)
+
+def parse_touchstone(text: str) -> NetworkData:
+    """Parse a Touchstone v1 document into a :class:`NetworkData`.
+
+    The data block is read in one array pass (``np.loadtxt``), and its column count,
+    finiteness and frequency order are checked as arrays.  Anything that pass declines,
+    such as a malformed row or text that ``float`` reads but numpy does not (``1_0``,
+    non-ASCII digits), is re-read by the line grammar, with the same values and errors.
+
+    Raises
+    ------
+    TouchstoneParseError
+        With a line number, for any deviation from the v1 grammar: v2 keyword
+        blocks, malformed or duplicated option lines, unsupported parameter
+        kinds, wrong column counts, non-numeric or non-finite values,
+        non-positive or non-increasing frequencies, or missing data.
+    """
+    return _network(*(_read_array(text) or _read_lines(text)))
 
 
 def _fmt_z0(z0: float) -> str:

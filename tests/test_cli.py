@@ -605,6 +605,16 @@ BAD_INPUTS = {
         ["--config", "@run.cfg", *SYNTH, "--sweep", "1:2:3"], 2, "run.cfg: line 2: ",
     ),
     "sweep_budget": ({}, [*SYNTH, "--sweep", "1:2:10000000000"], 2, "--sweep"),
+    # A Touchstone rejection names the file, then the line.
+    "touchstone_analyze": (
+        {"bad.s1p": "# Hz S RI R 50\n1 abc 0\n"},
+        ["analyze", "@bad.s1p"], 2, "bad.s1p: line 2: non-numeric token 'abc'",
+    ),
+    "touchstone_match": (
+        {"bad.s2p": "# Hz S RI R 50\n1 0 0 0 0 0 0 0 0\n1 0 0 0 0 0 0 0 0\n"},
+        ["match", "@bad.s2p", "--f-design", "1"], 2,
+        "bad.s2p: line 3: frequencies must be strictly increasing",
+    ),
 }
 
 

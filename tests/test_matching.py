@@ -283,3 +283,16 @@ def test_results_are_frozen():
         matched.vswr = np.zeros(5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         power_split_report(p, net, matched).antenna_fraction = np.zeros(5)
+
+
+def test_result_arrays_are_read_only():
+    p = flat_profile(1.0)
+    net = design_series_resistive_match(p, 2e9)
+    matched = vswr_profile(apply_match(p, net))
+    split = power_split_report(p, net, matched)
+    for array in (matched.frequencies_hz, matched.gamma, matched.vswr, matched.unbounded,
+                  split.antenna_fraction, split.mismatch_loss_db):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5
+    assert matched == matched and matched != vswr_profile(apply_match(p, net))
+    assert hash(matched) == hash(matched)

@@ -246,3 +246,10 @@ class TestMetricsReport:
             rep.bandwidth_hz = None
         with pytest.raises(dataclasses.FrozenInstanceError):
             rep.pointwise.df = np.zeros(rlc_profile.n_points)
+
+    def test_pointwise_arrays_are_read_only(self, rlc_profile):
+        pointwise = metrics_report(rlc_profile).pointwise
+        for field in dataclasses.fields(pointwise):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(pointwise, field.name)[0] = 5
+        hash(pointwise)

@@ -367,3 +367,11 @@ class TestSampleValidation:
         assert isinstance(rep.mapping_flags, tuple) and len(rep.mapping_flags) == 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             rep.mapping_flags = ()
+
+    def test_columns_are_read_only(self):
+        ds = parse_at_csq_log(cases.NOVEL_LOG)
+        for column in (ds.rssi, ds.ber):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 5
+        assert ds == ds and ds != parse_at_csq_log(cases.NOVEL_LOG)
+        hash(ds)

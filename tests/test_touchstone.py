@@ -1,11 +1,22 @@
 import cmath
+import contextlib
+import dataclasses
+import io
 import math
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cases
 from slcap import (
+    ENCODINGS,
+    UNIT_SCALE,
     NetworkData,
     TouchstoneFormat,
     TouchstoneParseError,
@@ -13,6 +24,8 @@ from slcap import (
     validate_passivity,
     write_touchstone,
 )
+from slcap.cli import run_command
+from slcap.touchstone import _parse_option_line, _read_array
 
 
 def one_port(doc: str) -> NetworkData:
@@ -222,3 +235,291 @@ class TestPassivity:
         assert validate_passivity(net) == []
         net_hot = NetworkData(frequencies_hz=np.array([1e9]), s=s * (1.0 + 2e-9))
         assert len(validate_passivity(net_hot)) == 1
+
+
+class TestNetworkData:
+    def test_arrays_are_read_only_views(self):
+        f, s = np.array([1e9, 2e9]), np.zeros((2, 1, 1), dtype=complex)
+        net = NetworkData(frequencies_hz=f, s=s)
+        with pytest.raises(ValueError, match="read-only"):
+            net.s[0, 0, 0] = 5
+        with pytest.raises(ValueError, match="read-only"):
+            net.frequencies_hz[0] = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.s = s
+        # The caller's own arrays stay writable.
+        f[0], s[0, 0, 0] = 0.5e9, 5
+        assert net.frequencies_hz[0] == 0.5e9 and net.s[0, 0, 0] == 5
+
+    def test_parsed_network_is_read_only(self):
+        net = parse_touchstone("# Hz S RI R 50\n1 0.5 0\n")
+        with pytest.raises(ValueError, match="read-only"):
+            net.s[0, 0, 0] = 5
+        assert net == net and hash(net) == hash(net)
+
+
+# ---------------------------------------------------------------------------
+# The array reader against the line grammar
+#
+# ``reference_parse`` is the line-by-line reader that the array pass replaced,
+# kept as the definition of what a document means: each entry converted by
+# ``math`` as its line is read.  ``parse_touchstone`` must give the same bits,
+# or the same error text and line number, on every input.
+
+
+def _reference_pair(encoding, a, b):
+    if encoding == "ri":
+        return complex(a, b)
+    if encoding == "ma":
+        mag, ang = a, math.radians(b)
+    else:  # db
+        mag, ang = 10.0 ** (a / 20.0), math.radians(b)
+    return complex(mag * math.cos(ang), mag * math.sin(ang))
+
+
+def reference_parse(text):
+    fmt = None
+    freqs, matrices = [], []
+    n_cols = None
+    last_line = 0
+    for line_number, raw in enumerate(text.splitlines(), start=1):
+        last_line = line_number
+        line = raw.split("!", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            raise TouchstoneParseError(
+                line_number, "Touchstone v2 keyword blocks are not supported"
+            )
+        if line.startswith("#"):
+            if fmt is not None:
+                raise TouchstoneParseError(line_number, "second option line")
+            fmt = _parse_option_line(line, line_number)
+            continue
+        if fmt is None:
+            raise TouchstoneParseError(line_number, "data row before the option line")
+        values = []
+        for tok in line.split():
+            try:
+                v = float(tok)
+            except ValueError:
+                raise TouchstoneParseError(line_number, f"non-numeric token {tok!r}") from None
+            if not math.isfinite(v):
+                raise TouchstoneParseError(line_number, f"non-finite value {tok!r}")
+            values.append(v)
+        if n_cols is None:
+            if len(values) not in (3, 9):
+                raise TouchstoneParseError(
+                    line_number,
+                    f"expected 3 columns (1-port) or 9 columns (2-port), got {len(values)}",
+                )
+            n_cols = len(values)
+        elif len(values) != n_cols:
+            raise TouchstoneParseError(line_number, f"expected {n_cols} columns, got {len(values)}")
+        f_hz = values[0] * UNIT_SCALE[fmt.unit]
+        if f_hz <= 0:
+            raise TouchstoneParseError(line_number, "frequency must be positive")
+        if freqs and f_hz <= freqs[-1]:
+            raise TouchstoneParseError(line_number, "frequencies must be strictly increasing")
+        freqs.append(f_hz)
+        matrices.append([_reference_pair(fmt.encoding, values[k], values[k + 1])
+                         for k in range(1, len(values), 2)])
+    if fmt is None:
+        raise TouchstoneParseError(max(last_line, 1), "missing option line")
+    if not freqs:
+        raise TouchstoneParseError(max(last_line, 1), "no data rows")
+    p = 1 if n_cols == 3 else 2
+    s = np.array(matrices, dtype=complex).reshape(-1, p, p).transpose(0, 2, 1)
+    return NetworkData(frequencies_hz=np.array(freqs), s=s, z0_ohm=fmt.z0_ohm)
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``: the network's bits, or the error's type, text and line."""
+    try:
+        net = parse(text)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line_number", None)
+    return net.z0_ohm, net.frequencies_hz.tobytes(), net.s.shape, net.s.tobytes()
+
+
+def assert_same(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the array pass lets no warning out
+        assert outcome(parse_touchstone, text) == outcome(reference_parse, text)
+
+
+def random_document(encoding, unit, ports, n, seed):
+    """A random passive network with ``n`` points, written by ``write_touchstone``."""
+    rng = np.random.default_rng(seed)
+    f = np.cumsum(rng.uniform(1e6, 5e8, n)) + 1e6
+    raw = rng.normal(size=(n, ports, ports)) + 1j * rng.normal(size=(n, ports, ports))
+    s = raw / (1.0 + np.abs(raw))
+    s[::7] = -s[::7].real + 0j  # some real entries: zero imaginary parts and RI/MA zeros
+    net = NetworkData(frequencies_hz=f, s=s, z0_ohm=float(rng.uniform(5.0, 150.0)))
+    return write_touchstone(net, TouchstoneFormat(unit=unit, encoding=encoding, z0_ohm=net.z0_ohm))
+
+
+ARRAY_CASES = {
+    "inline_and_full_line_comments": (
+        "! header\n# Hz S RI R 50   ! option\n\n1 0.5 0 ! row\n! between\n2 0.25 -1 !\n! footer\n"
+    ),
+    "crlf": "# MHz S MA R 50\r\n1 0.5 45\r\n2 0.25 -30\r\n",
+    "form_feed_breaks": "# GHz S DB R 50\x0c1 -3 10\x0c2 -6 20\x0c",
+    "negative_zero_ri": "# Hz S RI R 50\n1 -0.0 0.5\n2 0.0 -0.0\n3 -0.0 -0.0\n4 -0.0 -2.5\n",
+    "negative_zero_ri_2port": "# Hz S RI R 50\n1 -0.0 0.5 0.0 -0.0 -0.0 -0.0 -1 -0.0\n",
+    "negative_zero_ma": "# Hz S MA R 50\n1 -0.0 0\n2 0.5 -0.0\n3 -0.5 0\n4 0 -0.0\n",
+    "negative_zero_db": "# Hz S DB R 50\n1 -3 -0.0\n2 0 0\n3 -600 -0.0\n",
+    "single_row_1port": "# kHz S RI R 75\n2.5 0.1 -0.2\n",
+    "single_row_2port": "# GHz S MA R 50\n1 0.1 10 0.9 -20 0.9 -20 0.1 10\n",
+    "option_defaults": "#\n1 0.5 0\n",
+    "tabs_and_wide_spaces": "# Hz S RI R 50\n\t1\t0.5  0\n2\xa00.25　0\n",
+    "exponents_and_signs": "# Hz S RI R 50\n1e0 +5E-1 -1.5e+2\n2.0E0 .5 5.\n",
+    "blank_lines_after_the_data": "# Hz S RI R 50\n1 0.5 0\n\n   \n! end\n",
+    **{
+        f"random_{encoding}_{unit}_{ports}port": random_document(encoding, unit, ports, 50, seed)
+        for seed, (encoding, unit, ports) in enumerate(
+            (e, u, p) for e in ENCODINGS for u in UNIT_SCALE for p in (1, 2)
+        )
+    },
+    # Enough dB levels that a last-bit difference in np.power would show.
+    "random_db_levels": random_document("db", "ghz", 2, 2000, 101),
+    "random_ma_angles": random_document("ma", "mhz", 2, 2000, 102),
+}
+
+# Valid documents that numpy declines and the line grammar reads.
+DECLINED_CASES = {
+    "underscore_digits": "# Hz S RI R 50\n1_0 0.5 0\n2_0 0.2_5 -0.0\n",
+    "arabic_indic_digits": "# Hz S RI R 50\n١ ٠.٥ ٠\n٢ -٠.٠ ١e-١\n",
+    "fullwidth_digits": "# Hz S MA R 50\n１ ０.５ ９０\n２ ０.２５ -４５\n",
+    "one_token_declined": "# Hz S DB R 50\n1 -3 10\n2 -6 2_0\n3 -9 30\n",
+}
+
+# Overflow and underflow in the frequency scale and the dB level, and angles far from zero.
+EDGE_CASES = {
+    "frequency_overflows": "# GHz S RI R 50\n1e300 0 0\n",
+    "frequencies_overflow_together": "# GHz S RI R 50\n1e300 0 0\n2e300 0 0\n",
+    "db_level_overflows": "# Hz S DB R 50\n1 1e5 0\n",
+    "db_level_underflows": "# Hz S DB R 50\n1 -1e5 0\n",
+    "tiny_frequency": "# Hz S RI R 50\n5e-324 0 0\n",
+    "huge_angle": "# Hz S MA R 50\n1 0.5 1e300\n2 0.5 -1e22\n",
+}
+
+# Generated documents: mostly valid, some in spellings that numpy declines, some faulty.
+DIGITS = {"arabic_indic": "٠١٢٣٤٥٦٧٨٩", "fullwidth": "０１２３４５６７８９"}
+BAD_TOKENS = ["abc", "nan", "inf", "-inf", "1e999", "0x10", "1,5", "--1", "1e", "[1]", "#"]
+level = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 90.0, -180.0]),
+                  st.floats(-60.0, 60.0))
+
+
+def spell(draw, value: float) -> str:
+    """``repr(value)``, now and then in a spelling that numpy declines and ``float`` reads."""
+    text = repr(value)
+    style = draw(st.sampled_from(["repr"] * 12 + ["underscore", *DIGITS]))
+    if style == "underscore":
+        return re.sub(r"(\d)(\d)", r"\1_\2", text, count=1)
+    if style in DIGITS:
+        return text.translate(str.maketrans("0123456789", DIGITS[style]))
+    return text
+
+
+@st.composite
+def documents(draw):
+    """(text, ports, first frequency in Hz): a document, valid or now and then faulty."""
+    ports = draw(st.sampled_from([1, 2]))
+    unit = draw(st.sampled_from(sorted(UNIT_SCALE)))
+    encoding = draw(st.sampled_from(ENCODINGS))
+    n = draw(st.integers(1, 5))
+    freqs = sorted(draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n, unique=True)))
+    sep = lambda: draw(st.sampled_from([" ", " ", "  ", "\t", "\xa0"]))  # noqa: E731
+    rows = [[spell(draw, float(f))] + [spell(draw, draw(level)) for _ in range(2 * ports**2)]
+            for f in freqs]
+    lines = [f"# {unit} S {encoding} R 50"]
+    if draw(st.booleans()):
+        lines.insert(0, "! " + draw(st.sampled_from(["", "header", "# not an option line"])))
+    fault = draw(st.sampled_from([None] * 8 + ["token", "drop", "repeat", "zero", "option",
+                                               "v2", "empty", "early_row"]))
+    if fault == "token":
+        row = rows[draw(st.integers(0, n - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+    elif fault == "drop":
+        rows[draw(st.integers(0, n - 1))].pop()
+    elif fault == "repeat":
+        rows.insert(draw(st.integers(1, n)), list(rows[draw(st.integers(0, n - 1))]))
+    elif fault == "zero":
+        rows[0][0] = draw(st.sampled_from(["0", "-1", "-0.0"]))
+    for tokens in rows:
+        line = sep().join(tokens)
+        if draw(st.integers(0, 4)) == 0:
+            line += " ! note"
+        lines.append(line)
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "! comment"])))
+    if fault == "option":
+        lines.insert(draw(st.integers(1, len(lines))), "# GHz S RI R 50")
+    elif fault == "v2":
+        lines.insert(draw(st.integers(0, len(lines))), "[Version] 2.0")
+    elif fault == "empty":
+        lines = lines[:1]
+    elif fault == "early_row":
+        lines.insert(0, "1 0 0")
+    end = draw(st.sampled_from(["\n", "\r\n", "\x0c"]))
+    return end.join(lines) + draw(st.sampled_from(["", end])), ports, freqs[0] * UNIT_SCALE[unit]
+
+
+class TestReaderPaths:
+    @pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+    def test_array_path_matches_reference(self, name):
+        assert _read_array(ARRAY_CASES[name]) is not None
+        assert_same(ARRAY_CASES[name])
+
+    @pytest.mark.parametrize("name", sorted(DECLINED_CASES))
+    def test_declined_text_matches_reference(self, name):
+        assert _read_array(DECLINED_CASES[name]) is None
+        parse_touchstone(DECLINED_CASES[name])
+        assert_same(DECLINED_CASES[name])
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_case_matches_reference(self, name):
+        assert_same(EDGE_CASES[name])
+
+    @pytest.mark.parametrize(
+        "doc", [doc for doc, _, _ in cases.MALFORMED_TOUCHSTONE],
+        ids=[f"case{i:02d}" for i in range(len(cases.MALFORMED_TOUCHSTONE))],
+    )
+    def test_malformed_document_matches_reference(self, doc):
+        with pytest.raises(TouchstoneParseError):
+            parse_touchstone(doc)
+        assert_same(doc)
+
+    def test_table_is_read_before_it_is_converted(self):
+        # The reference converted each line as it read it, so a dB level that
+        # overflows on line 2 hid the bad token on line 3.
+        doc = "# Hz S DB R 50\n1 1e5 0\n2 abc 0\n"
+        with pytest.raises(OverflowError):
+            reference_parse(doc)
+        with pytest.raises(TouchstoneParseError, match="^line 3: non-numeric token 'abc'$"):
+            parse_touchstone(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(documents())
+    def test_generated_documents_match_reference(self, document):
+        assert_same(document[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(documents())
+def test_analyze_and_match_exit_contract(document):
+    text, ports, f_first = document
+    fixture = ["--fixture", "reflection"] if ports == 1 else []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "sweep.s2p")
+        Path(path).write_text(text, encoding="utf-8", newline="")
+        for command in (["analyze", path], ["match", path, "--f-design", repr(f_first)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the library's warnings about the data
+                code = run_command(["--out-dir", str(Path(tmp) / "out"), *fixture, *command])
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert re.match(rf"error: {re.escape(path)}: line \d+: ", err.getvalue())
