@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import freeze_arrays
 from .touchstone import NetworkData
 
 __all__ = [
@@ -46,13 +47,14 @@ class SingularityError(ArithmeticError):
     """A conversion hit a pole (e.g. s11 = 1 has no finite impedance)."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ImpedanceProfile:
     """Complex impedance versus frequency; a non-finite ``z`` marks an invalid point.
 
     Every non-finite impedance (an extraction pole gives inf or nan) is stored
     as NaN, and ``valid`` is ``np.isfinite(z)``.  Downstream metrics carry the
-    NaN through instead of failing the sweep.
+    NaN through instead of failing the sweep.  The arrays are stored as
+    read-only views, so ``valid`` cannot come to disagree with ``z``.
     """
 
     frequencies_hz: np.ndarray
@@ -68,9 +70,11 @@ class ImpedanceProfile:
             raise ValueError("frequencies must be finite and positive")
         if f.size > 1 and not np.all(np.diff(f) > 0):
             raise ValueError("frequencies must be strictly increasing")
-        self.valid = np.isfinite(z)
-        self.frequencies_hz = f
-        self.z = np.where(self.valid, z, complex(np.nan, np.nan))
+        valid = np.isfinite(z)
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "frequencies_hz", f)
+        object.__setattr__(self, "z", np.where(valid, z, complex(np.nan, np.nan)))
+        freeze_arrays(self)
 
     @property
     def resistance(self) -> np.ndarray:

@@ -9,12 +9,16 @@ with k = 2 pi f / c and E the per-element intensity (isotropic, or sin^2 of
 the angle off a hertzian-dipole axis).  Directivity integrates u over the
 sphere with a composite trapezoidal rule; the polar integral runs in
 mu = cos(theta) so a uniform pattern integrates exactly and D >= 1 holds for
-every pattern.  Evaluation is deterministic: any row chunking produces
-bit-identical grids and the quadrature reduces in fixed row-major order.
+every pattern.  Evaluation is deterministic: the grid is evaluated in blocks of
+theta rows, bit-identical at any chunk size and CPU count; it uses every CPU in
+the affinity set, with no setting.  The quadrature reduces in fixed row-major
+order.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -195,16 +199,90 @@ def make_grid(theta_step_deg: float = 1.0, phi_step_deg: float = 1.0):
     return theta, phi
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_blocks(block, n_blocks: int) -> None:
+    """Call ``block(i)`` once for each i < ``n_blocks``, on every usable CPU.
+
+    The caller works too, beside one thread per further CPU, each taking the next
+    index from a shared counter; on one CPU no thread starts.  The first exception
+    raised in any call stops the remaining work and is re-raised here, in the
+    calling thread, once every thread has ended.
+    """
+    indices = iter(range(n_blocks))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work():
+        try:
+            while not errors:
+                with lock:
+                    i = next(indices, None)
+                if i is None:
+                    return
+                block(i)
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(min(_usable_cpus(), n_blocks) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _pattern_rows(u, layout, sin_t, cos_t, cos_p, sin_p) -> None:
+    """Fill ``u`` with the intensity of the theta rows given by ``sin_t`` and ``cos_t``.
+
+    Each term is ``weight * exp(j phase)``, with the exponential written as
+    ``cos(phase) + j sin(phase)``: ``exp`` of a zero real part is exactly that.  The
+    phase sums in the order ``((x ux + y uy) + z uz) k``, and the numpy complex
+    multiply keeps the weight as its left operand, as in that formula; a real-arithmetic
+    product, or the operands swapped, rounds differently.
+    """
+    k = layout.wavenumber
+    ux = sin_t * cos_p
+    uy = sin_t * sin_p
+    phase = np.empty(ux.shape)
+    term = np.empty(ux.shape)
+    e = np.empty(ux.shape, dtype=complex)
+    af = np.zeros(ux.shape, dtype=complex)
+    for (x, y, z), weight in zip(layout.positions_m, layout.weights):
+        np.multiply(ux, x, out=phase)
+        np.multiply(uy, y, out=term)
+        phase += term
+        phase += z * cos_t  # uz is constant along a row
+        phase *= k
+        np.cos(phase, out=e.real)
+        np.sin(phase, out=e.imag)
+        af += weight * e
+    u[...] = np.abs(af) ** 2
+    if layout.element.kind == HERTZIAN_DIPOLE:
+        axis = layout.element.unit_axis()
+        proj = ux * axis[0] + uy * axis[1] + cos_t * axis[2]
+        # Along the axis, proj**2 can round just above 1.
+        u *= np.maximum(1.0 - proj**2, 0.0)
+
+
 def evaluate_pattern(
     layout: ArrayLayout,
     theta_rad: np.ndarray | None = None,
     phi_rad: np.ndarray | None = None,
-    chunk_rows: int = 64,
+    chunk_rows: int = 16,
 ) -> RadiationPattern:
     """Sample the array intensity on the grid (default 1 degree resolution).
 
-    ``chunk_rows`` bounds how many theta rows are evaluated per batch purely
-    to cap memory; any chunking yields bit-identical results.
+    The grid is evaluated in blocks of ``chunk_rows`` theta rows, which caps the
+    memory of each block.  The result is bit-identical at any chunk size and CPU
+    count; the independent blocks use every CPU in the affinity set, with no setting.
     """
     if theta_rad is None or phi_rad is None:
         default_t, default_p = make_grid()
@@ -219,31 +297,13 @@ def evaluate_pattern(
     cos_t = np.cos(theta)[:, None]
     cos_p = np.cos(phi)[None, :]
     sin_p = np.sin(phi)[None, :]
-    k = layout.wavenumber
-    weights = layout.weights
-    pos = layout.positions_m
-
-    dipole = layout.element.kind == HERTZIAN_DIPOLE
-    axis = layout.element.unit_axis() if dipole else None
-
     u = np.empty((theta.size, phi.size), dtype=float)
-    for start in range(0, theta.size, chunk_rows):
-        stop = min(start + chunk_rows, theta.size)
-        # Direction cosines for this block of theta rows, shape (rows, n_phi, 3).
-        ux = sin_t[start:stop] * cos_p
-        uy = sin_t[start:stop] * sin_p
-        uz = np.broadcast_to(cos_t[start:stop], ux.shape)
-        af = np.zeros(ux.shape, dtype=complex)
-        for n in range(layout.n_elements):
-            phase = k * (pos[n, 0] * ux + pos[n, 1] * uy + pos[n, 2] * uz)
-            af += weights[n] * np.exp(1j * phase)
-        block = np.abs(af) ** 2
-        if dipole:
-            proj = ux * axis[0] + uy * axis[1] + uz * axis[2]
-            # Along the axis, proj**2 can round just above 1.
-            block = block * np.maximum(1.0 - proj**2, 0.0)
-        u[start:stop] = block
 
+    def block(i):
+        rows = slice(i * chunk_rows, (i + 1) * chunk_rows)
+        _pattern_rows(u[rows], layout, sin_t[rows], cos_t[rows], cos_p, sin_p)
+
+    _run_blocks(block, -(-theta.size // chunk_rows))
     return RadiationPattern(
         theta_rad=theta, phi_rad=phi, u=u, frequency_hz=layout.frequency_hz
     )

@@ -35,6 +35,8 @@ _PARAMETER_KINDS = ("s", "y", "z", "g", "h")
 
 DEFAULT_Z0 = 50.0
 PASSIVITY_TOL = 1e-9
+# dB levels up to here convert to at most 1e300; the line grammar checks any above it.
+_DB_SAFE = 6000.0
 
 
 class TouchstoneParseError(ValueError):
@@ -209,6 +211,8 @@ def _read_array(text: str) -> tuple[TouchstoneFormat, np.ndarray] | None:
         return None
     if table.shape[0] == 0 or table.shape[1] not in (3, 9) or not np.isfinite(table).all():
         return None
+    if fmt.encoding == "db" and (table[:, 1::2] > _DB_SAFE).any():
+        return None
     with np.errstate(over="ignore", invalid="ignore"):  # inf, as the line grammar's float gives
         table[:, 0] *= UNIT_SCALE[fmt.unit]
         if not (table[0, 0] > 0 and (np.diff(table[:, 0]) > 0).all()):
@@ -220,6 +224,7 @@ def _read_lines(text: str) -> tuple[TouchstoneFormat, np.ndarray]:
     """The option line and the data table, line by line: the grammar behind every error."""
     fmt: TouchstoneFormat | None = None
     rows: list[list[float]] = []
+    row_lines: list[int] = []
     n_cols = None
     last_line = 0
 
@@ -271,12 +276,24 @@ def _read_lines(text: str) -> tuple[TouchstoneFormat, np.ndarray]:
         if rows and values[0] <= rows[-1][0]:
             raise TouchstoneParseError(line_number, "frequencies must be strictly increasing")
         rows.append(values)
+        row_lines.append(line_number)
 
     if fmt is None:
         raise TouchstoneParseError(max(last_line, 1), "missing option line")
     if not rows:
         raise TouchstoneParseError(max(last_line, 1), "no data rows")
-    return fmt, np.array(rows)
+    table = np.array(rows)
+    if fmt.encoding == "db":
+        # The first level, in reading order, whose linear magnitude overflows.
+        for i, j in zip(*np.nonzero(table[:, 1::2] > _DB_SAFE)):
+            level = rows[i][1 + 2 * j]
+            try:
+                pow(10.0, level / 20.0)
+            except OverflowError:
+                raise TouchstoneParseError(
+                    row_lines[i], f"dB level {level!r} overflows the float range"
+                ) from None
+    return fmt, table
 
 
 def parse_touchstone(text: str) -> NetworkData:
@@ -292,8 +309,9 @@ def parse_touchstone(text: str) -> NetworkData:
     TouchstoneParseError
         With a line number, for any deviation from the v1 grammar: v2 keyword
         blocks, malformed or duplicated option lines, unsupported parameter
-        kinds, wrong column counts, non-numeric or non-finite values,
-        non-positive or non-increasing frequencies, or missing data.
+        kinds, wrong column counts, non-numeric or non-finite values, dB levels
+        whose magnitude overflows, non-positive or non-increasing frequencies,
+        or missing data.
     """
     return _network(*(_read_array(text) or _read_lines(text)))
 

@@ -512,9 +512,11 @@ class TestConfigAndGlobalFlags:
         import sys
 
         src = Path(__file__).resolve().parents[1] / "src"
+        # Nor concurrent.futures: the pattern's threads come from threading alone.
         check = (
             "import slcap.cli, sys; "
-            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules); "
+            "assert 'concurrent.futures' not in sys.modules"
         )
         proc = subprocess.run(
             [sys.executable, "-c", check],
@@ -614,6 +616,16 @@ BAD_INPUTS = {
         {"bad.s2p": "# Hz S RI R 50\n1 0 0 0 0 0 0 0 0\n1 0 0 0 0 0 0 0 0\n"},
         ["match", "@bad.s2p", "--f-design", "1"], 2,
         "bad.s2p: line 3: frequencies must be strictly increasing",
+    ),
+    "touchstone_db_overflow_analyze": (
+        {"bad.s1p": "# Hz S DB R 50\n1 1e5 0\n"},
+        ["--fixture", "reflection", "analyze", "@bad.s1p"], 2,
+        "bad.s1p: line 2: dB level 100000.0 overflows the float range",
+    ),
+    "touchstone_db_overflow_match": (
+        {"bad.s2p": "# Hz S DB R 50\n1 0 0 0 0 0 0 0 0\n2 0 0 1e5 0 0 0 0 0\n"},
+        ["match", "@bad.s2p", "--f-design", "1"], 2,
+        "bad.s2p: line 3: dB level 100000.0 overflows the float range",
     ),
 }
 

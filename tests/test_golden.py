@@ -10,12 +10,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from slcap.cli import run_command
+
+ROOT = Path(__file__).resolve().parents[1]
 
 RLC = ["--r", "1", "--l", "2e-9", "--c", "1e-12", "--sweep", "1e8:2e10:201"]
 F_DESIGN = ["--f-design", "1.005e10"]
@@ -321,13 +325,15 @@ GOLDEN = {
 }
 
 
-def golden_outputs(root: Path) -> dict[str, dict[str, str]]:
-    """Run every command under ``root``; run name -> {file name: sha256}."""
+def golden_outputs(root: Path, names=None) -> dict[str, dict[str, str]]:
+    """Run every command, or those in ``names``, under ``root``; run name -> {file name: sha256}."""
     (root / "inputs").mkdir(parents=True)
     for name, text in INPUTS.items():
         (root / "inputs" / name).write_text(text)
     hashes = {}
     for name, argv in runs(root).items():
+        if names is not None and name not in names:
+            continue
         out = root / name
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
@@ -351,6 +357,37 @@ def test_outputs_match_pinned_hashes(outputs, name):
 
 def test_every_run_is_pinned(outputs):
     assert sorted(outputs) == sorted(GOLDEN)
+
+
+# The pattern runs read only their inputs, so they can run on their own.
+ONE_CPU = """
+import json, os, sys, tempfile
+from pathlib import Path
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import test_golden
+with tempfile.TemporaryDirectory() as tmp:
+    hashes = test_golden.golden_outputs(Path(tmp), sys.argv[1:])
+print(json.dumps([len(os.sched_getaffinity(0)), hashes]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_pattern_hashes_hold_on_one_cpu():
+    # The pattern grid is evaluated on every CPU the process may use; pinned to
+    # one, it runs in the calling thread alone and must write the same bytes.
+    names = sorted(name for name in GOLDEN if name.startswith("pattern_"))
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")])
+        ),
+    }
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU, *names], capture_output=True,
+                          text=True, env=env, cwd=ROOT, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    cpus, hashes = json.loads(proc.stdout.splitlines()[-1])
+    assert cpus == 1
+    assert hashes == {name: GOLDEN[name] for name in names}
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,17 @@ class TestProfileExtraction:
         np.testing.assert_array_equal(profile.valid, np.isfinite(z))
         assert profile.z[0] == 1.0
         assert np.isnan(profile.z.real[1:]).all() and np.isnan(profile.z.imag[1:]).all()
+
+    def test_arrays_are_read_only(self):
+        z = np.array([1.0 + 0j, 2.0 + 0j])
+        profile = ImpedanceProfile(frequencies_hz=[1e9, 2e9], z=z)
+        with pytest.raises(ValueError, match="read-only"):
+            profile.z[0] = 5
+        with pytest.raises(ValueError, match="read-only"):
+            profile.valid[1] = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.valid = np.array([True, False])
+        assert profile == profile and hash(profile) == hash(profile)
 
     def test_valid_is_not_an_argument(self):
         with pytest.raises(TypeError):

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 import oracles
+from slcap import radiation
 from slcap import (
     HERTZIAN_DIPOLE,
     ISOTROPIC,
@@ -374,3 +377,166 @@ class TestFindLobes:
         assert len(near_zero) == 1
         wrapped = math.degrees(near_zero[0].angle_rad)
         assert min(wrapped, 360.0 - wrapped) == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The block evaluator against the serial loop
+#
+# ``reference_pattern`` is the loop that ``evaluate_pattern`` replaced: one
+# block of theta rows at a time, with ``np.exp(1j * phase)`` per element.
+# ``evaluate_pattern`` must give the same bits at any chunk size and CPU count.
+
+
+def reference_pattern(layout, theta, phi, chunk_rows=64):
+    sin_t = np.sin(theta)[:, None]
+    cos_t = np.cos(theta)[:, None]
+    cos_p = np.cos(phi)[None, :]
+    sin_p = np.sin(phi)[None, :]
+    k = layout.wavenumber
+    weights = layout.weights
+    pos = layout.positions_m
+    dipole = layout.element.kind == HERTZIAN_DIPOLE
+    axis = layout.element.unit_axis() if dipole else None
+    u = np.empty((theta.size, phi.size), dtype=float)
+    for start in range(0, theta.size, chunk_rows):
+        stop = min(start + chunk_rows, theta.size)
+        ux = sin_t[start:stop] * cos_p
+        uy = sin_t[start:stop] * sin_p
+        uz = np.broadcast_to(cos_t[start:stop], ux.shape)
+        af = np.zeros(ux.shape, dtype=complex)
+        for n in range(layout.n_elements):
+            phase = k * (pos[n, 0] * ux + pos[n, 1] * uy + pos[n, 2] * uz)
+            af += weights[n] * np.exp(1j * phase)
+        block = np.abs(af) ** 2
+        if dipole:
+            proj = ux * axis[0] + uy * axis[1] + uz * axis[2]
+            block = block * np.maximum(1.0 - proj**2, 0.0)
+        u[start:stop] = block
+    return u
+
+
+def _lattice_8x8():
+    ix, iy = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
+    return np.column_stack([ix.ravel(), iy.ravel(), np.zeros(64)]) * 0.5
+
+
+def _steered(positions_wl, theta_deg, phi_deg):
+    t, p = math.radians(theta_deg), math.radians(phi_deg)
+    direction = np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
+    return np.exp(-2j * math.pi * (np.asarray(positions_wl) @ direction))
+
+
+_IRREGULAR = np.random.default_rng(7).uniform([-1.0, -1.0, -0.25], [1.0, 1.0, 0.25], (64, 3))
+TILTED = (1.0, 1.0, 0.5)
+PATTERN_LAYOUTS = {
+    "isotropic_1_real": layout_of([[0.1, -0.2, 0.3]], [2.0 + 0j]),
+    "dipole_1_complex": layout_of([[0.0, 0.0, 0.0]], [0.5 - 1.5j], HERTZIAN_DIPOLE, TILTED),
+    "isotropic_2_real": layout_of([[0.0, 0.0, -0.25], [0.0, 0.0, 0.25]], [1.0, -0.5]),
+    "dipole_2_steered": layout_of(
+        [[-0.3, 0.0, 0.0], [0.3, 0.0, 0.0]], _steered([[-0.3, 0.0, 0.0], [0.3, 0.0, 0.0]], 60, 0),
+        HERTZIAN_DIPOLE, (0.0, 1.0, 0.0),
+    ),
+    "isotropic_64_real": layout_of(_lattice_8x8()),
+    "isotropic_64_steered": layout_of(_lattice_8x8(), _steered(_lattice_8x8(), 30, 45)),
+    "dipole_64_real": layout_of(_IRREGULAR, np.linspace(0.2, 1.0, 64), HERTZIAN_DIPOLE, TILTED),
+    "dipole_64_steered": layout_of(
+        _IRREGULAR, _steered(_IRREGULAR, 120, 200), HERTZIAN_DIPOLE, TILTED
+    ),
+}
+GRID = make_grid(2.0, 5.0)  # 91 theta rows
+
+
+def assert_same_as_reference(layout, theta, phi, chunk_rows):
+    got = evaluate_pattern(layout, theta, phi, chunk_rows=chunk_rows).u
+    assert got.tobytes() == reference_pattern(layout, theta, phi, chunk_rows).tobytes()
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("chunk", [1, 7, 16, 64, 200])
+    @pytest.mark.parametrize("name", sorted(PATTERN_LAYOUTS))
+    def test_matches_reference(self, name, chunk):
+        assert_same_as_reference(PATTERN_LAYOUTS[name], *GRID, chunk)
+
+    # 3 and 1 theta rows per block of 16 or 1: fewer blocks than CPUs, and
+    # more threads than this machine may have CPUs.  A short switch interval
+    # interleaves the threads often; a block run twice or never would show in
+    # the row count (a skipped block's np.empty rows may repeat old bytes).
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("grid, chunk", [((90.0, 10.0), 16), ((90.0, 10.0), 1),
+                                             ((2.0, 5.0), 7)])
+    def test_any_cpu_count(self, monkeypatch, cpus, grid, chunk):
+        monkeypatch.setattr(radiation, "_usable_cpus", lambda: cpus)
+        theta, phi = make_grid(*grid)
+        n_blocks = -(-theta.size // chunk)
+        original, threads, row_counts = radiation._pattern_rows, set(), []
+
+        def rows(u, *args):
+            threads.add(threading.get_ident())
+            row_counts.append(u.shape[0])
+            original(u, *args)
+
+        monkeypatch.setattr(radiation, "_pattern_rows", rows)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for name in ("isotropic_64_steered", "dipole_64_real"):
+                threads.clear()
+                row_counts.clear()
+                assert_same_as_reference(PATTERN_LAYOUTS[name], theta, phi, chunk)
+                assert len(row_counts) == n_blocks and sum(row_counts) == theta.size
+                assert 1 <= len(threads) <= min(cpus, n_blocks)
+                assert threading.active_count() == before
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestBlockFailures:
+    """A failure in any block is raised from ``evaluate_pattern`` in the calling thread."""
+
+    @pytest.fixture
+    def hooked(self, monkeypatch):
+        # Exceptions that escape a thread would go to threading.excepthook.
+        seen = []
+        monkeypatch.setattr(threading, "excepthook", seen.append)
+        return seen
+
+    def test_worker_failure(self, monkeypatch, capfd, hooked):
+        monkeypatch.setattr(radiation, "_usable_cpus", lambda: 4)
+        original, failed = radiation._pattern_rows, threading.Event()
+
+        def rows(*args):
+            if threading.current_thread() is threading.main_thread():
+                # Hold the caller in its first block until a worker has failed.
+                assert failed.wait(timeout=30)
+                return original(*args)
+            failed.set()
+            raise RuntimeError("injected worker failure")
+
+        monkeypatch.setattr(radiation, "_pattern_rows", rows)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected worker failure"):
+            evaluate_pattern(broadside_four(), *GRID)
+        assert threading.active_count() == before
+        assert hooked == [] and capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_caller_failure(self, monkeypatch, capfd, hooked, cpus):
+        monkeypatch.setattr(radiation, "_usable_cpus", lambda: cpus)
+        original, calls, failed = radiation._pattern_rows, [], threading.Event()
+
+        def rows(*args):
+            calls.append(None)
+            if threading.current_thread() is threading.main_thread():
+                failed.set()
+                raise MemoryError("injected caller failure")
+            # Hold each worker in its first block until the caller has failed.
+            assert failed.wait(timeout=30)
+            original(*args)
+
+        monkeypatch.setattr(radiation, "_pattern_rows", rows)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="injected caller failure"):
+            evaluate_pattern(broadside_four(), *GRID, chunk_rows=1)
+        assert threading.active_count() == before
+        assert hooked == [] and capfd.readouterr().err == ""
+        assert len(calls) <= cpus  # the first failure stops the rest

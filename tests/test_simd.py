@@ -5,7 +5,9 @@ width may round differently.  Running ``tests/test_golden.py`` with the AVX-512
 groups, and then also AVX2 (``X86_V3``), disabled through
 ``NPY_DISABLE_CPU_FEATURES`` shows that the pinned output bytes do not depend
 on the kernel this machine happens to pick.  The reader's path-agreement tests
-run the same way, since its MA and dB conversion uses numpy's ``cos`` and ``sin``.
+run the same way, since its MA and dB conversion uses numpy's ``cos`` and ``sin``,
+and so do the pattern's reference tests, since ``evaluate_pattern`` builds each
+``exp(j phase)`` from them.
 """
 import os
 import subprocess
@@ -51,3 +53,8 @@ def test_golden_hashes_hold_with_simd_groups_off(name):
 @pytest.mark.parametrize("name", sorted(DISABLED))
 def test_reader_paths_agree_with_simd_groups_off(name):
     run_with_groups_off(name, "tests/test_touchstone.py::TestReaderPaths")
+
+
+@pytest.mark.parametrize("name", sorted(DISABLED))
+def test_pattern_matches_reference_with_simd_groups_off(name):
+    run_with_groups_off(name, "tests/test_radiation.py::TestReferenceEquivalence")

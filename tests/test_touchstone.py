@@ -322,8 +322,15 @@ def reference_parse(text):
         if freqs and f_hz <= freqs[-1]:
             raise TouchstoneParseError(line_number, "frequencies must be strictly increasing")
         freqs.append(f_hz)
-        matrices.append([_reference_pair(fmt.encoding, values[k], values[k + 1])
-                         for k in range(1, len(values), 2)])
+        row = []
+        for k in range(1, len(values), 2):
+            try:
+                row.append(_reference_pair(fmt.encoding, values[k], values[k + 1]))
+            except OverflowError:  # a dB level past the float range
+                raise TouchstoneParseError(
+                    line_number, f"dB level {values[k]!r} overflows the float range"
+                ) from None
+        matrices.append(row)
     if fmt is None:
         raise TouchstoneParseError(max(last_line, 1), "missing option line")
     if not freqs:
@@ -400,6 +407,9 @@ EDGE_CASES = {
     "frequencies_overflow_together": "# GHz S RI R 50\n1e300 0 0\n2e300 0 0\n",
     "db_level_overflows": "# Hz S DB R 50\n1 1e5 0\n",
     "db_level_underflows": "# Hz S DB R 50\n1 -1e5 0\n",
+    "db_levels_near_the_limit": "# Hz S DB R 50\n1 6100 0\n2 6165 45\n",
+    "db_level_overflows_later": "# Hz S DB R 50\n1 6100 0\n2 -3 0\n3 6200 0\n",
+    "db_levels_overflow_in_a_2port": "# Hz S DB R 50\n1 0 0 0 0 0 0 0 0\n2 0 0 6100 0 1e4 0 7e3 0\n",
     "tiny_frequency": "# Hz S RI R 50\n5e-324 0 0\n",
     "huge_angle": "# Hz S MA R 50\n1 0.5 1e300\n2 0.5 -1e22\n",
 }
@@ -495,7 +505,7 @@ class TestReaderPaths:
         # The reference converted each line as it read it, so a dB level that
         # overflows on line 2 hid the bad token on line 3.
         doc = "# Hz S DB R 50\n1 1e5 0\n2 abc 0\n"
-        with pytest.raises(OverflowError):
+        with pytest.raises(TouchstoneParseError, match="^line 2: dB level 100000.0 overflows"):
             reference_parse(doc)
         with pytest.raises(TouchstoneParseError, match="^line 3: non-numeric token 'abc'$"):
             parse_touchstone(doc)
