@@ -13,7 +13,6 @@ writes byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -44,13 +43,13 @@ from .matching import (
 from .metrics import REACTANCE_EPSILON, metrics_report
 from .radiation import (
     ArrayLayout,
-    ElementModel,
     directivity,
     evaluate_pattern,
     find_lobes,
     gain,
     grid_shape,
     make_grid,
+    parse_layout,
     polar_cut,
 )
 from .report import num, report_text
@@ -67,9 +66,10 @@ from .touchstone import (
     UNIT_SCALE,
     TouchstoneFormat,
     TouchstoneParseError,
+    iter_touchstone,
     parse_touchstone,
     validate_passivity,
-    write_touchstone,
+    write_touchstone,  # unused here; the per-layer trace (bench/layers.py) wraps it by name
 )
 
 __all__ = ["RunConfig", "InputError", "load_config", "run_command", "main"]
@@ -272,14 +272,23 @@ def write_vswr_csv(path: Path, vswr) -> None:
 
 
 def write_pattern_csv(path: Path, pattern) -> None:
-    n_theta, n_phi = pattern.u.shape
-    columns = [
-        np.repeat(np.degrees(pattern.theta_rad), n_phi),
-        np.tile(np.degrees(pattern.phi_rad), n_theta),
-        pattern.u.ravel(),
-        _db_below_peak(pattern.u).ravel(),
-    ]
-    _write_csv(path, ["theta_deg", "phi_deg", "u", "u_db"], columns)
+    """Write one CSV row per grid cell, theta-major: theta_deg, phi_deg, u, u_db.
+
+    The same bytes as ``_write_csv`` over the four columns, but each theta and
+    phi is printed once: one row template holds every phi's text, each theta
+    row fills in its theta text, then ``u`` and ``u_db`` with one ``%`` format.
+    ``u_db`` is one call over the grid: per row, SIMD kernels could round cells apart.
+    """
+    u, u_db = pattern.u, _db_below_peak(pattern.u)
+    # Each cell's text after its theta: ",<phi>,%.9g,%.9g\r\n" (no %.9g text holds a %).
+    tails = ["," + "%.9g" % p + ",%.9g,%.9g\r\n" for p in np.degrees(pattern.phi_rad).tolist()]
+    cells = np.empty((u.shape[1], 2))
+    with open(path, "w", newline="") as fh:
+        fh.write("theta_deg,phi_deg,u,u_db\r\n")
+        for i, theta in enumerate(np.degrees(pattern.theta_rad).tolist()):
+            theta = "%.9g" % theta
+            cells[:, 0], cells[:, 1] = u[i], u_db[i]
+            fh.write((theta + theta.join(tails)) % tuple(cells.ravel().tolist()))
 
 
 def write_cut_csv(path: Path, angles_rad: np.ndarray, values: np.ndarray) -> None:
@@ -308,7 +317,16 @@ def _emit_report(path: Path, rows: list[tuple[str, str]]) -> None:
     print(text, end="")
 
 
+# Largest input file read (Touchstone, layout, log or config), checked with stat first.
+MAX_INPUT_BYTES = 256 * 2**20
+
+
 def _read_text(path: str | Path) -> str:
+    size = Path(path).stat().st_size
+    if size > MAX_INPUT_BYTES:
+        raise InputError(
+            f"{path}: {size} bytes exceeds the input budget of {MAX_INPUT_BYTES} bytes"
+        )
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -334,8 +352,8 @@ def _profile_from_file(path: str, cfg: RunConfig):
         print(f"warning: {warning}", file=sys.stderr)
     try:
         return impedance_profile(net, mode=cfg.fixture)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    except ValueError as exc:  # the fixture does not fit the file's port count
+        raise InputError(f"{path}: {exc}") from None
 
 
 def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -452,53 +470,10 @@ def cmd_match(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _layout_from_file(path: str) -> ArrayLayout:
+    text = _read_input(path)
     try:
-        doc = json.loads(_read_input(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: layout must be a JSON object")
-    missing = {"frequency_hz", "positions"} - doc.keys()
-    if missing:
-        raise InputError(f"{path}: missing layout keys: {', '.join(sorted(missing))}")
-    known = {"frequency_hz", "positions", "weights", "element"}
-    unknown = doc.keys() - known
-    if unknown:
-        raise InputError(f"{path}: unknown layout keys: {', '.join(sorted(unknown))}")
-
-    element = ElementModel()
-    if "element" in doc:
-        spec = doc["element"]
-        if not isinstance(spec, dict):
-            raise InputError(f"{path}: element must be a JSON object")
-        extra = spec.keys() - {"kind", "axis", "footprint_mm"}
-        if extra:
-            raise InputError(f"{path}: unknown element keys: {', '.join(sorted(extra))}")
-        try:
-            element = ElementModel(**{k: v if k == "kind" else tuple(v) for k, v in spec.items()})
-        except TypeError:
-            raise InputError(f"{path}: element axis and footprint_mm must be number lists") from None
-        except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from None
-
-    positions, weights = doc["positions"], doc.get("weights")
-    if not isinstance(positions, list):
-        raise InputError(f"{path}: positions must be a list of [x, y, z] triples")
-    if weights is None:
-        weights = [1.0] * len(positions)
-    if not isinstance(weights, list) or not all(
-        isinstance(w, (int, float)) or (isinstance(w, list) and len(w) == 2) for w in weights
-    ):
-        raise InputError(f"{path}: weights must be numbers or [re, im] pairs")
-    try:
-        return ArrayLayout(
-            positions_m=np.asarray(positions, dtype=float),
-            weights=np.asarray([complex(*w) if isinstance(w, list) else complex(w)
-                                for w in weights]),
-            frequency_hz=float(doc["frequency_hz"]),
-            element=element,
-        )
-    except (ValueError, TypeError, OverflowError) as exc:
+        return parse_layout(text)
+    except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -634,7 +609,8 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     fmt = TouchstoneFormat(unit=args.unit, encoding=args.encoding, z0_ohm=cfg.z0_ohm)
     default_name = "synth.s1p" if cfg.fixture == REFLECTION else "synth.s2p"
     out_path = Path(cfg.out_dir) / (args.out or default_name)
-    out_path.write_text(write_touchstone(net, fmt))
+    with open(out_path, "w") as fh:
+        fh.writelines(iter_touchstone(net, fmt))
     rows = [
         ("written", str(out_path)),
         ("fixture", cfg.fixture),

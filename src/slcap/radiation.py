@@ -33,6 +33,7 @@ __all__ = [
     "ArrayLayout",
     "RadiationPattern",
     "Lobe",
+    "parse_layout",
     "grid_shape",
     "make_grid",
     "evaluate_pattern",
@@ -114,6 +115,65 @@ class ArrayLayout:
     @property
     def wavenumber(self) -> float:
         return 2.0 * math.pi * self.frequency_hz / SPEED_OF_LIGHT
+
+
+def parse_layout(text: str) -> ArrayLayout:
+    """Read a layout JSON document: ``frequency_hz``, ``positions`` ([x, y, z]
+    triples in meters), optional ``weights`` (numbers or [re, im] pairs) and an
+    optional ``element`` object (``kind``, ``axis``, ``footprint_mm``).
+
+    Raises ValueError, with the JSON line where the text does not parse, for
+    any document that does not give a valid :class:`ArrayLayout`.
+    """
+    import json  # on first use: no other command pays for loading it
+
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("layout must be a JSON object")
+    missing = {"frequency_hz", "positions"} - doc.keys()
+    if missing:
+        raise ValueError(f"missing layout keys: {', '.join(sorted(missing))}")
+    unknown = doc.keys() - {"frequency_hz", "positions", "weights", "element"}
+    if unknown:
+        raise ValueError(f"unknown layout keys: {', '.join(sorted(unknown))}")
+
+    element = ElementModel()
+    if "element" in doc:
+        spec = doc["element"]
+        if not isinstance(spec, dict):
+            raise ValueError("element must be a JSON object")
+        extra = spec.keys() - {"kind", "axis", "footprint_mm"}
+        if extra:
+            raise ValueError(f"unknown element keys: {', '.join(sorted(extra))}")
+        try:
+            element = ElementModel(**{k: v if k == "kind" else tuple(v) for k, v in spec.items()})
+        except TypeError:
+            raise ValueError("element axis and footprint_mm must be number lists") from None
+        except OverflowError as exc:
+            raise ValueError(str(exc)) from None
+
+    positions, weights = doc["positions"], doc.get("weights")
+    if not isinstance(positions, list):
+        raise ValueError("positions must be a list of [x, y, z] triples")
+    if weights is None:
+        weights = [1.0] * len(positions)
+    if not isinstance(weights, list) or not all(
+        isinstance(w, (int, float)) or (isinstance(w, list) and len(w) == 2) for w in weights
+    ):
+        raise ValueError("weights must be numbers or [re, im] pairs")
+    try:
+        return ArrayLayout(
+            positions_m=np.asarray(positions, dtype=float),
+            weights=np.asarray([complex(*w) if isinstance(w, list) else complex(w)
+                                for w in weights]),
+            frequency_hz=float(doc["frequency_hz"]),
+            element=element,
+        )
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(str(exc)) from None
 
 
 @dataclass

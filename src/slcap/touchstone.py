@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "TouchstoneParseError",
     "parse_touchstone",
     "write_touchstone",
+    "iter_touchstone",
     "validate_passivity",
     "ENCODINGS",
     "UNIT_SCALE",
@@ -320,7 +321,7 @@ def _fmt_z0(z0: float) -> str:
     return str(int(z0)) if z0 == int(z0) else repr(float(z0))
 
 
-# Rows per ``%`` operation: bounds the text held at once, not a setting.
+# Rows per block of text: bounds the text held at once, not a setting.
 _BLOCK_ROWS = 4096
 
 
@@ -345,27 +346,52 @@ def _pairs(encoding: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 20.0 * np.array(list(map(math.log10, floored))).reshape(shape), ang
 
 
-def write_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None) -> str:
-    """Serialize ``net`` as a Touchstone v1 document in the requested format.
+def _block_text(freqs: np.ndarray, z: np.ndarray, encoding: str) -> str:
+    """Rows of ``freqs`` and the entries ``z`` (one column per entry) as text.
+
+    An entry column equal bit for bit to an earlier one (S12 = S21 or S22 = S11
+    in a reciprocal or symmetric network) reuses that column's text, so each
+    distinct column goes through ``_pairs`` and ``repr`` once.
+    """
+    first: dict[bytes, int] = {}
+    cols = [first.setdefault(z[:, j].tobytes(), j) for j in range(z.shape[1])]
+    distinct = list(first.values())
+    a, b = _pairs(encoding, z[:, distinct])
+    text = {j: (list(map(repr, a[:, k].tolist())), list(map(repr, b[:, k].tolist())))
+            for k, j in enumerate(distinct)}
+    cells = [list(map(repr, freqs.tolist()))]
+    for j in cols:
+        cells += text[j]
+    row = " ".join(["%s"] * len(cells)) + "\n"
+    return (row * len(freqs)) % tuple(chain.from_iterable(zip(*cells)))
+
+
+def iter_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None):
+    """Yield ``net`` as a Touchstone v1 document: the option line, then each block's text.
 
     Every number is ``repr`` of a float, the shortest text that reads back to
-    the same value.  Each block of rows is one ``%r`` format over a float table.
+    the same value.  Each block of ``_BLOCK_ROWS`` rows is formatted, and its
+    part of ``net.s`` reordered, only when it is asked for, so writing the
+    yielded texts to a file holds one block's text at a time.
     """
     if fmt is None:
         fmt = TouchstoneFormat(z0_ohm=net.z0_ohm)
     scale = UNIT_SCALE[fmt.unit]
-    # v1 rows list S11 S21 S12 S22: column-major, hence the transpose.
-    s = net.s.transpose(0, 2, 1).reshape(net.n_points, -1)
-    n_cols = 1 + 2 * s.shape[1]
-    row = " ".join(["%r"] * n_cols) + "\n"
-    parts = [f"# {_UNIT_DISPLAY[fmt.unit]} S {fmt.encoding.upper()} R {_fmt_z0(fmt.z0_ohm)}\n"]
+    yield f"# {_UNIT_DISPLAY[fmt.unit]} S {fmt.encoding.upper()} R {_fmt_z0(fmt.z0_ohm)}\n"
     for lo in range(0, net.n_points, _BLOCK_ROWS):
-        z = s[lo:lo + _BLOCK_ROWS]
-        table = np.empty((len(z), n_cols))
-        table[:, 0] = net.frequencies_hz[lo:lo + _BLOCK_ROWS] / scale
-        table[:, 1::2], table[:, 2::2] = _pairs(fmt.encoding, z)
-        parts.append((row * len(table)) % tuple(table.ravel().tolist()))
-    return "".join(parts)
+        hi = lo + _BLOCK_ROWS
+        # v1 rows list S11 S21 S12 S22: column-major, hence the transpose.
+        z = net.s[lo:hi].transpose(0, 2, 1).reshape(-1, net.n_ports ** 2)
+        yield _block_text(net.frequencies_hz[lo:hi] / scale, z, fmt.encoding)
+
+
+def write_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None) -> str:
+    """Serialize ``net`` as one Touchstone v1 string: the joined :func:`iter_touchstone`.
+
+    To write a file, pass :func:`iter_touchstone` to ``writelines`` instead, which
+    never holds the whole text.
+    """
+    return "".join(iter_touchstone(net, fmt))
 
 
 def validate_passivity(net: NetworkData, tol: float = PASSIVITY_TOL) -> list[str]:

@@ -545,6 +545,14 @@ BAD_INPUTS = {
         {"layout.json": json.dumps({**LAYOUT, "element": {"axis": 5}})},
         ["pattern", "--layout", "@layout.json"], 2, "layout.json",
     ),
+    "axis_int_overflows": (
+        {"layout.json": json.dumps({**LAYOUT, "element": {"axis": [10**400, 0, 1]}})},
+        ["pattern", "--layout", "@layout.json"], 2, "layout.json: int too large to convert",
+    ),
+    "fixture_needs_two_ports": (
+        {"one.s1p": "# Hz S RI R 50\n1 0.1 0\n"},
+        ["analyze", "@one.s1p"], 2, "one.s1p: series-through extraction requires a 2-port",
+    ),
     "weight_pair_not_numeric": (
         {"layout.json": json.dumps({**LAYOUT, "weights": [["a", 1], 1]})},
         ["pattern", "--layout", "@layout.json"], 2, "layout.json",

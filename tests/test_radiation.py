@@ -540,3 +540,32 @@ class TestBlockFailures:
         assert threading.active_count() == before
         assert hooked == [] and capfd.readouterr().err == ""
         assert len(calls) <= cpus  # the first failure stops the rest
+
+
+class TestParseLayout:
+    def test_reads_every_key(self):
+        layout = radiation.parse_layout(
+            '{"frequency_hz": 2e9, "positions": [[0, 0, 0], [0.1, 0, 0]],'
+            ' "weights": [1, [0, -1]], "element": {"kind": "hertzian-dipole", "axis": [1, 0, 0]}}'
+        )
+        assert layout.frequency_hz == 2e9
+        assert np.array_equal(layout.positions_m, [[0, 0, 0], [0.1, 0, 0]])
+        assert np.array_equal(layout.weights, [1, -1j])
+        assert layout.element == radiation.ElementModel(kind="hertzian-dipole", axis=(1, 0, 0))
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"frequency_hz": 1e9,\n "positions": [[0, 0, 0]]', "line 2: Expecting ',' delimiter"),
+        ("[1]", "layout must be a JSON object"),
+        ('{"positions": []}', "missing layout keys: frequency_hz"),
+        ('{"frequency_hz": 1, "positions": [[0, 0]]}', "positions must be an (n, 3) array"),
+        ('{"frequency_hz": 1, "positions": [[0, 0, 0]], "element": {"axis": 5}}',
+         "element axis and footprint_mm must be number lists"),
+        ('{"frequency_hz": 1, "positions": [[0, 0, 0]], "element": {"axis": [1e999, 0, 0]}}',
+         "axis must be a finite non-zero 3-vector"),
+        ('{"frequency_hz": 1, "positions": [[0, 0, 0]], "weights": [[null, 1]]}',
+         "complex() first argument must be a string or a number, not 'NoneType'"),
+    ])
+    def test_rejections_are_value_errors(self, text, message):
+        with pytest.raises(ValueError) as info:
+            radiation.parse_layout(text)
+        assert str(info.value) == message
