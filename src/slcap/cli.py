@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -306,7 +307,8 @@ def write_lobes_csv(path: Path, lobes) -> None:
 
 
 def write_rssi_csv(path: Path, dataset) -> None:
-    columns = [[t.isoformat() for t in dataset.timestamps], dataset.rssi, dbm_levels(dataset.rssi)]
+    """One row per reading; the timestamps are ``iso_timestamps``, a parsed log's checked text."""
+    columns = [dataset.iso_timestamps, dataset.rssi, dbm_levels(dataset.rssi)]
     _write_csv(path, ["timestamp", "rssi", "dbm"], columns)
 
 
@@ -714,7 +716,12 @@ def run_command(argv: list[str] | None = None) -> int:
     try:
         cfg = _effective_config(args, _option_flags(parser))
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-        return args.func(args, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                return args.func(args, cfg)
+            finally:  # as the passivity lines are, with no source line
+                for warning in caught:
+                    print(f"warning: {warning.message}", file=sys.stderr)
     except (TouchstoneParseError, AtLogParseError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

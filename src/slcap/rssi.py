@@ -12,12 +12,14 @@ import csv
 import io
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
+from itertools import count
 
 import numpy as np
 
-from ._frozen import freeze_arrays
 from .report import num, report_text
 
 __all__ = [
@@ -38,13 +40,15 @@ __all__ = [
 ]
 
 RSSI_UNKNOWN = 99
-_DBM_OFFSET = -113.0
-_DBM_STEP = 2.0
 
 # Matched in full against one stripped line.  The codes hold no "+", so the timestamp
 # ends at the whitespace before the last "+CSQ:", which a greedy ``.*\S`` finds from the
 # end with less backtracking than ``.+?`` from the start.
 _CSQ_LINE = re.compile(r"(?P<ts>.*\S)\s+\+CSQ:\s*(?P<rssi>\d+)\s*,\s*(?P<ber>\d+)\s*")
+# A timestamp as ``isoformat`` writes it, or with a space before the time: a fraction unless
+# zero, an offset as +-HH:MM but -00:00 (``fromisoformat`` carries minutes past 59).
+_ISO_TEXT = re.compile(r"(?a)\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d(?!\.0{6})(\.\d{6})?"
+                       r"(?!-00:00)([+-]\d\d:[0-5]\d)?")
 
 
 class AtLogParseError(ValueError):
@@ -63,25 +67,34 @@ class _CodeRangeError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, eq=False)
+class _IsoText(tuple):
+    """The ``isoformat`` texts of a parsed, checked timestamp column."""
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class RssiDataset:
     """A labelled series of readings from one antenna in one environment, as columns.
 
-    ``timestamps`` is a tuple of ``datetime``; ``rssi`` and ``ber`` are read-only int64 arrays
-    of the same length.  The codes are checked as arrays of Python ints before the cast, so one
-    past int64 is reported, not wrapped: the first rssi outside 0..31 or ber outside 0..7,
-    other than 99 (unknown), raises ValueError.  ber is kept but unused by the statistics.
+    ``timestamps`` is a tuple of ``datetime`` and ``iso_timestamps`` of their ``isoformat``
+    texts; a parsed dataset holds the texts, and either column is built on first read.
+    ``rssi`` and ``ber`` are read-only int64 arrays of the same length.  The codes are checked
+    as arrays of Python ints before the cast, so one past int64 is reported, not wrapped: the
+    first rssi outside 0..31 or ber outside 0..7, other than 99 (unknown), raises ValueError.
+    ber is kept but unused by the statistics.
     """
 
-    timestamps: tuple[datetime, ...]
+    timestamps: tuple[datetime, ...]  # read through the cached_property below
     rssi: np.ndarray
     ber: np.ndarray
     environment: str = ""
     antenna: str = ""
 
-    def __post_init__(self):
-        rssi, ber = np.array(self.rssi, dtype=object), np.array(self.ber, dtype=object)
-        if rssi.shape != (len(self.timestamps),) or ber.shape != rssi.shape:
+    def __init__(self, timestamps, rssi, ber, environment: str = "", antenna: str = ""):
+        parsed = type(timestamps) is _IsoText
+        timestamps = timestamps if parsed else tuple(timestamps)
+        self.__dict__["iso_timestamps" if parsed else "timestamps"] = timestamps
+        rssi, ber = np.array(rssi, dtype=object), np.array(ber, dtype=object)
+        if rssi.shape != (len(timestamps),) or ber.shape != rssi.shape:
             raise ValueError("timestamps, rssi and ber must be columns of one length")
         bad_rssi = ((rssi < 0) | (rssi > 31)) & (rssi != RSSI_UNKNOWN)
         bad_ber = ((ber < 0) | (ber > 7)) & (ber != RSSI_UNKNOWN)
@@ -91,10 +104,17 @@ class RssiDataset:
             if bad_rssi[i]:
                 raise _CodeRangeError(i, f"rssi {rssi[i]} outside 0..31 / 99")
             raise _CodeRangeError(i, f"ber {ber[i]} outside 0..7 / 99")
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
-        object.__setattr__(self, "rssi", rssi.astype(np.int64))
-        object.__setattr__(self, "ber", ber.astype(np.int64))
-        freeze_arrays(self)
+        rssi, ber = rssi.astype(np.int64), ber.astype(np.int64)
+        rssi.flags.writeable = ber.flags.writeable = False
+        self.__dict__.update(rssi=rssi, ber=ber, environment=environment, antenna=antenna)
+
+    @cached_property
+    def timestamps(self) -> tuple[datetime, ...]:
+        return tuple(map(datetime.fromisoformat, self.iso_timestamps))
+
+    @cached_property
+    def iso_timestamps(self) -> tuple[str, ...]:
+        return tuple(t.isoformat() for t in self.timestamps)
 
     @property
     def known(self) -> np.ndarray:
@@ -121,7 +141,8 @@ def _dataset(numbers, fields, fault, int_message, environment, antenna) -> RssiD
     Each check runs only on the readings before the first that failed an earlier one, so the
     first bad line is reported, and on it the checks run in the order format, timestamp,
     integers, ranges.  A failed ``int`` reads ``int_message``, or its own text.  ``fields``
-    is emptied once its columns are taken, to free its rows early.
+    is emptied once its columns are taken, to free its rows early.  Timestamps are checked by
+    ``fromisoformat`` and kept as their ``isoformat`` text; no datetime is kept.
     """
     bad = [type(f) is str for f in fields]
     if True in bad:
@@ -134,19 +155,28 @@ def _dataset(numbers, fields, fault, int_message, environment, antenna) -> RssiD
     n = len(fields)
     fields.clear()
     cleaned = [ts[:-1] + "+00:00" if ts[-1:] in ("Z", "z") else ts for ts in ts_texts]
-    stamps, rssi, ber = [], [], []
-    for column, convert, texts in (
-        (stamps, datetime.fromisoformat, cleaned), (rssi, int, codes), (ber, int, levels)
-    ):
+    parsed = count()
+    try:  # at C speed, dropping each datetime; ``parsed`` counts the texts that parsed
+        deque(zip(map(datetime.fromisoformat, cleaned), parsed), maxlen=0)
+    except ValueError:
+        n = next(parsed)
+        fault = AtLogParseError(numbers[n], f"timestamp {ts_texts[n]!r} is not ISO-8601")
+    del ts_texts
+    rssi, ber = [], []
+    for column, texts in ((rssi, codes), (ber, levels)):
         try:  # extend keeps what it appended before the item that raised
-            column.extend(map(convert, texts[:n]))
+            column.extend(map(int, texts[:n]))
         except ValueError as exc:
             n = len(column)
-            fault = AtLogParseError(numbers[n], f"timestamp {ts_texts[n]!r} is not ISO-8601"
-                                    if column is stamps else int_message or str(exc))
-    del cleaned, stamps[n:], rssi[n:]
+            fault = AtLogParseError(numbers[n], int_message or str(exc))
+    del codes, levels, cleaned[n:], rssi[n:]
+    for i, text in enumerate(cleaned):  # in place: a new text can take its old one's memory
+        cleaned[i] = (text.replace(" ", "T") if _ISO_TEXT.fullmatch(text)
+                      else datetime.fromisoformat(text).isoformat())
+    iso = _IsoText(cleaned)
+    del cleaned
     try:
-        dataset = RssiDataset(stamps, rssi, ber, environment, antenna)
+        dataset = RssiDataset(iso, rssi, ber, environment, antenna)
     except _CodeRangeError as exc:
         raise AtLogParseError(numbers[exc.index], str(exc)) from None
     if fault is not None:
@@ -200,17 +230,17 @@ def rssi_to_dbm(rssi: int) -> float:
         raise ValueError("rssi 99 encodes an unknown signal level")
     if not 0 <= rssi <= 31:
         raise ValueError(f"rssi {rssi} outside 0..31")
-    return _DBM_OFFSET + _DBM_STEP * rssi
+    return float(dbm_levels(rssi))
 
 
 def dbm_levels(codes: np.ndarray) -> np.ndarray:
-    """:func:`rssi_to_dbm` of each parsed code at once; the unknown code 99 reads nan."""
-    return np.where(codes == RSSI_UNKNOWN, math.nan, _DBM_OFFSET + _DBM_STEP * codes)
+    """dBm = -113 + 2 * rssi of each code or mean code at once; the unknown code 99 reads nan."""
+    return np.where(codes == RSSI_UNKNOWN, math.nan, -113.0 + 2.0 * codes)
 
 
 def dbm_to_rssi(dbm: float) -> int:
     """Inverse of :func:`rssi_to_dbm`; the level must sit exactly on the grid."""
-    code = (dbm - _DBM_OFFSET) / _DBM_STEP
+    code = (dbm + 113.0) / 2.0
     rounded = round(code)
     if abs(code - rounded) > 1e-9 or not 0 <= rounded <= 31:
         raise ValueError(f"{dbm} dBm is not a valid rssi level")
@@ -419,8 +449,7 @@ def compare_datasets(
         raise ValueError("baseline mean is zero; ratios are undefined")
 
     welch = welch_t_test(a, b)
-    mean_dbm_a = _DBM_OFFSET + _DBM_STEP * a.mean()
-    mean_dbm_b = _DBM_OFFSET + _DBM_STEP * b.mean()
+    mean_dbm_a, mean_dbm_b = dbm_levels(np.array([a.mean(), b.mean()]))
 
     footprint = None
     if novel_area_mm2 is not None and baseline_area_mm2 is not None:

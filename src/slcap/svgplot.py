@@ -6,8 +6,6 @@ produce byte-identical files.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = ["line_plot_svg"]
@@ -17,14 +15,6 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 20, 44
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
-def _tick_label(v: float) -> str:
-    return f"{v:.4g}"
-
-
 def line_plot_svg(x, series, xlabel: str = "", ylabel: str = "") -> str:
     """Render labelled series against a shared x axis as an SVG document.
 
@@ -32,10 +22,8 @@ def line_plot_svg(x, series, xlabel: str = "", ylabel: str = "") -> str:
     dropped per series.  Returns the SVG text.
     """
     x = np.asarray(x, dtype=float)
-
-    finite_y = np.concatenate(
-        [np.asarray(y, dtype=float)[np.isfinite(np.asarray(y, dtype=float))] for _, y in series]
-    )
+    series = [(label, np.asarray(y, dtype=float)) for label, y in series]
+    finite_y = np.concatenate([y[np.isfinite(y)] for _, y in series])
     if finite_y.size == 0:
         raise ValueError("nothing finite to plot")
     x_lo, x_hi = float(x.min()), float(x.max())
@@ -50,10 +38,10 @@ def line_plot_svg(x, series, xlabel: str = "", ylabel: str = "") -> str:
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(v: float) -> float:
+    def px(v):  # one value or an array, in the same IEEE steps
         return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(v: float) -> float:
+    def py(v):
         return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -69,33 +57,30 @@ def line_plot_svg(x, series, xlabel: str = "", ylabel: str = "") -> str:
         yv = y_lo + frac * (y_hi - y_lo)
         xp, yp = px(xv), py(yv)
         parts.append(
-            f'<line x1="{_fmt(xp)}" y1="{_MARGIN_T + plot_h}" x2="{_fmt(xp)}" '
+            f'<line x1="{xp:.2f}" y1="{_MARGIN_T + plot_h}" x2="{xp:.2f}" '
             f'y2="{_MARGIN_T + plot_h + 4}" stroke="#444"/>'
         )
         parts.append(
-            f'<text x="{_fmt(xp)}" y="{_MARGIN_T + plot_h + 16}" font-size="10" '
-            f'text-anchor="middle" fill="#222">{_tick_label(xv)}</text>'
+            f'<text x="{xp:.2f}" y="{_MARGIN_T + plot_h + 16}" font-size="10" '
+            f'text-anchor="middle" fill="#222">{xv:.4g}</text>'
         )
         parts.append(
-            f'<line x1="{_MARGIN_L - 4}" y1="{_fmt(yp)}" x2="{_MARGIN_L}" '
-            f'y2="{_fmt(yp)}" stroke="#444"/>'
+            f'<line x1="{_MARGIN_L - 4}" y1="{yp:.2f}" x2="{_MARGIN_L}" '
+            f'y2="{yp:.2f}" stroke="#444"/>'
         )
         parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{_fmt(yp + 3)}" font-size="10" '
-            f'text-anchor="end" fill="#222">{_tick_label(yv)}</text>'
+            f'<text x="{_MARGIN_L - 8}" y="{yp + 3:.2f}" font-size="10" '
+            f'text-anchor="end" fill="#222">{yv:.4g}</text>'
         )
 
     for idx, (label, y) in enumerate(series):
-        y = np.asarray(y, dtype=float)
         color = _COLORS[idx % len(_COLORS)]
-        pts = [
-            f"{_fmt(px(xv))},{_fmt(py(yv))}"
-            for xv, yv in zip(x, y)
-            if math.isfinite(yv)
-        ]
-        if pts:
+        finite = np.isfinite(y)
+        if finite.any():
+            xy = np.column_stack([px(x[finite]), py(y[finite])]).ravel().tolist()
+            points = " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy)
             parts.append(
-                f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" '
+                f'<polyline points="{points}" fill="none" stroke="{color}" '
                 'stroke-width="1.5"/>'
             )
         parts.append(

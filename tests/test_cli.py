@@ -506,6 +506,25 @@ class TestConfigAndGlobalFlags:
         assert proc.returncode == 0
         assert "directivity = " in proc.stdout
 
+    def test_library_warning_reaches_stderr_as_one_line(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        f = np.linspace(1e8, 2e10, 50)
+        net = cases.series_through_network(f, np.full(f.size, 60.0 + 0j))
+        s2p = tmp_path / "r60.s2p"
+        s2p.write_text(write_touchstone(net, TouchstoneFormat(encoding="ri")))
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "slcap", "--out-dir", str(tmp_path / "out"),
+             "match", str(s2p), "--f-design", "1e9"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ("warning: antenna resistance 60 ohm exceeds z0 = 50 ohm; "
+                               "series resistor clipped to zero\n")
+
     def test_cli_import_pulls_in_no_scipy(self):
         import os
         import subprocess

@@ -5,7 +5,8 @@ bytes: ``csv.writer`` over ``num`` for CSV, ``repr`` of each number from a
 per-entry (magnitude, angle) pair for Touchstone, and ``_write_csv`` over the
 four full-grid columns for the pattern CSV.  The writers must produce the same
 bytes on random data, including every edge the formats have, and the streaming
-ones must hold one block at a time.
+ones must hold one block at a time.  ``reference_line_plot_svg`` is the SVG plot
+with one ``%.2f`` pair formatted per point.
 """
 import csv
 import math
@@ -18,6 +19,7 @@ import pytest
 from slcap import cli, touchstone
 from slcap.impedance import FIXTURE_MODES, SeriesRlcModel, synthesize_series_rlc
 from slcap.report import num
+from slcap.svgplot import line_plot_svg
 from slcap.touchstone import (
     ENCODINGS,
     UNIT_SCALE,
@@ -356,3 +358,99 @@ def test_pattern_csv_holds_under_two_grids(tmp_path):
     peak = traced_peak(lambda: cli.write_pattern_csv(tmp_path / "p.csv", pattern))
     # The full-grid writer held four grid-sized columns; this one holds u_db and its temporary.
     assert peak < 2 * pattern.u.nbytes + 1e6
+
+
+# ---------------------------------------------------------------------------
+# SVG line plots
+
+
+def reference_line_plot_svg(x, series, xlabel="", ylabel=""):
+    width, height = 720, 420
+    margin_l, margin_r, margin_t, margin_b = 64, 16, 20, 44
+    colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+    x = np.asarray(x, dtype=float)
+    finite_y = np.concatenate(
+        [np.asarray(y, dtype=float)[np.isfinite(np.asarray(y, dtype=float))] for _, y in series]
+    )
+    x_lo, x_hi = float(x.min()), float(x.max())
+    y_lo, y_hi = float(finite_y.min()), float(finite_y.max())
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    plot_w = width - margin_l - margin_r
+    plot_h = height - margin_t - margin_b
+
+    def px(v):
+        return margin_l + (v - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(v):
+        return margin_t + (y_hi - v) / (y_hi - y_lo) * plot_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" height="{plot_h}" '
+        'fill="none" stroke="#888" stroke-width="1"/>',
+    ]
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        xv = x_lo + frac * (x_hi - x_lo)
+        yv = y_lo + frac * (y_hi - y_lo)
+        xp, yp = px(xv), py(yv)
+        parts.append(f'<line x1="{xp:.2f}" y1="{margin_t + plot_h}" x2="{xp:.2f}" '
+                     f'y2="{margin_t + plot_h + 4}" stroke="#444"/>')
+        parts.append(f'<text x="{xp:.2f}" y="{margin_t + plot_h + 16}" font-size="10" '
+                     f'text-anchor="middle" fill="#222">{xv:.4g}</text>')
+        parts.append(f'<line x1="{margin_l - 4}" y1="{yp:.2f}" x2="{margin_l}" '
+                     f'y2="{yp:.2f}" stroke="#444"/>')
+        parts.append(f'<text x="{margin_l - 8}" y="{yp + 3:.2f}" font-size="10" '
+                     f'text-anchor="end" fill="#222">{yv:.4g}</text>')
+    for idx, (label, y) in enumerate(series):
+        y = np.asarray(y, dtype=float)
+        color = colors[idx % len(colors)]
+        pts = [f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(x, y) if math.isfinite(yv)]
+        if pts:
+            parts.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" '
+                         'stroke-width="1.5"/>')
+        parts.append(f'<text x="{margin_l + 8 + 140 * idx}" y="{margin_t + 14}" font-size="11" '
+                     f'fill="{color}">{label}</text>')
+    if xlabel:
+        parts.append(f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 8}" font-size="12" '
+                     f'text-anchor="middle" fill="#000">{xlabel}</text>')
+    if ylabel:
+        parts.append(f'<text x="14" y="{margin_t + plot_h / 2:.1f}" font-size="12" '
+                     f'text-anchor="middle" fill="#000" '
+                     f'transform="rotate(-90 14 {margin_t + plot_h / 2:.1f})">{ylabel}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def holed_series(rng, n):
+    """Random levels over several decades with NaN, +-inf and -0.0 samples."""
+    y = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 6)
+    for value in (math.nan, math.inf, -math.inf, -0.0):
+        y[rng.random(n) < 0.05] = value
+    return y
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+@pytest.mark.parametrize("seed", range(4))
+def test_line_plot_matches_per_point_renderer(n, seed):
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(-1e9, 1e10, n)) if seed % 2 else np.arange(n, dtype=float)
+    c = holed_series(rng, n)
+    c[0] = 3.5  # at least one finite sample
+    series = [("a", holed_series(rng, n)), ("b", np.full(n, -0.0)), ("c", c)]
+    svg = line_plot_svg(x, series, xlabel="x", ylabel="y")
+    assert svg == reference_line_plot_svg(x, series, xlabel="x", ylabel="y")
+
+
+@pytest.mark.parametrize("y", [[5.0], [2.0, 2.0, 2.0], [math.nan, 1.0, math.inf],
+                               [-0.0, 0.0, -0.0]])
+def test_line_plot_edge_series_match_per_point_renderer(y):
+    x = np.arange(len(y), dtype=float)
+    series = [("s", np.array(y)), ("holes", np.full(len(y), math.nan))]
+    assert line_plot_svg(x, series) == reference_line_plot_svg(x, series)
