@@ -10,14 +10,15 @@ from dataclasses import fields
 import numpy as np
 
 
-def freeze_arrays(obj) -> None:
-    """Replace each array field of the frozen dataclass ``obj`` by a read-only view.
+def freeze_arrays(obj, **checked) -> None:
+    """Store the ``checked`` field values on the frozen dataclass ``obj``, then replace
+    each array field by a read-only view.
 
     A view, not the array itself, so that an array the caller passed in stays writable.
     """
     for f in fields(obj):
-        value = getattr(obj, f.name)
+        value = checked[f.name] if f.name in checked else getattr(obj, f.name)
         if isinstance(value, np.ndarray):
-            view = value.view()
-            view.flags.writeable = False
-            object.__setattr__(obj, f.name, view)
+            value = value.view()
+            value.flags.writeable = False
+        object.__setattr__(obj, f.name, value)

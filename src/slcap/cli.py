@@ -43,7 +43,6 @@ from .matching import (
 )
 from .metrics import REACTANCE_EPSILON, metrics_report
 from .radiation import (
-    ArrayLayout,
     directivity,
     evaluate_pattern,
     find_lobes,
@@ -55,7 +54,6 @@ from .radiation import (
 )
 from .report import num, report_text
 from .rssi import (
-    AtLogParseError,
     compare_datasets,
     dbm_levels,
     parse_at_csq_log,
@@ -66,7 +64,6 @@ from .touchstone import (
     ENCODINGS,
     UNIT_SCALE,
     TouchstoneFormat,
-    TouchstoneParseError,
     iter_touchstone,
     parse_touchstone,
     validate_passivity,
@@ -225,20 +222,17 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     Each block of rows is one ``%`` format over a flat tuple of its cells.
     """
     columns = [c if isinstance(c, np.ndarray) else _csv_text(c) for c in columns]
-    numeric = all(isinstance(c, np.ndarray) for c in columns)
+    k = len(columns)
     n_rows = len(columns[0]) if columns else 0
     row = ",".join("%.9g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_csv_text(header)) + "\r\n")
         for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
             block = [c[lo:lo + _CSV_BLOCK_ROWS] for c in columns]
-            if numeric:
-                table = np.column_stack(block)
-            else:
-                table = np.empty((len(block[0]), len(block)), dtype=object)
-                for i, cells in enumerate(block):
-                    table[:, i] = cells
-            fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+            cells = [None] * (k * len(block[0]))
+            for i, column in enumerate(block):
+                cells[i::k] = column.tolist() if isinstance(column, np.ndarray) else column
+            fh.write((row * len(block[0])) % tuple(cells))
 
 
 def _magnitude(z: np.ndarray) -> np.ndarray:
@@ -335,10 +329,15 @@ def _read_text(path: str | Path) -> str:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _read_input(path: str) -> str:
+def _parse_input(path: str, parse, **kw):
+    """``parse`` of the input file's text; any ValueError it raises names the file."""
     if not Path(path).is_file():
         raise InputError(f"no such file: {path}")
-    return _read_text(path)
+    text = _read_text(path)
+    try:
+        return parse(text, **kw)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +345,7 @@ def _read_input(path: str) -> str:
 
 
 def _profile_from_file(path: str, cfg: RunConfig):
-    try:
-        net = parse_touchstone(_read_input(path))
-    except TouchstoneParseError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    net = _parse_input(path, parse_touchstone)
     for warning in validate_passivity(net):
         print(f"warning: {warning}", file=sys.stderr)
     try:
@@ -471,16 +467,8 @@ def cmd_match(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _layout_from_file(path: str) -> ArrayLayout:
-    text = _read_input(path)
-    try:
-        return parse_layout(text)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
-
-
 def cmd_pattern(args: argparse.Namespace, cfg: RunConfig) -> int:
-    layout = _layout_from_file(args.layout)
+    layout = _parse_input(args.layout, parse_layout)
     if not 0.0 <= args.efficiency <= 1.0:
         raise InputError(f"--efficiency must be within [0, 1], got {args.efficiency:g}")
     if not math.isfinite(args.phi_cut_deg):
@@ -544,14 +532,8 @@ def _parse_claimed(pairs: list[str] | None) -> list[tuple[int, float]]:
 
 def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
     parse = parse_at_csq_log if args.format == "at" else parse_rssi_csv
-
-    def load(path: str, antenna: str):
-        try:
-            return parse(_read_input(path), antenna=antenna)
-        except AtLogParseError as exc:
-            raise InputError(f"{path}: {exc}") from None
-
-    novel, baseline = load(args.novel_log, "novel"), load(args.baseline_log, "baseline")
+    novel = _parse_input(args.novel_log, parse, antenna="novel")
+    baseline = _parse_input(args.baseline_log, parse, antenna="baseline")
 
     report = compare_datasets(
         novel,
@@ -722,7 +704,7 @@ def run_command(argv: list[str] | None = None) -> int:
             finally:  # as the passivity lines are, with no source line
                 for warning in caught:
                     print(f"warning: {warning.message}", file=sys.stderr)
-    except (TouchstoneParseError, AtLogParseError, InputError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:

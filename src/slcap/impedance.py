@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._frozen import freeze_arrays
-from .touchstone import NetworkData
+from .touchstone import NetworkData, _check_sweep
 
 __all__ = [
     "REFLECTION",
@@ -66,15 +66,10 @@ class ImpedanceProfile:
         z = np.asarray(self.z, dtype=complex)
         if f.ndim != 1 or f.size == 0 or z.shape != f.shape:
             raise ValueError("frequencies and z must be matching non-empty 1-D arrays")
-        if not np.all(np.isfinite(f)) or not np.all(f > 0):
-            raise ValueError("frequencies must be finite and positive")
-        if f.size > 1 and not np.all(np.diff(f) > 0):
-            raise ValueError("frequencies must be strictly increasing")
+        _check_sweep(f)
         valid = np.isfinite(z)
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "frequencies_hz", f)
-        object.__setattr__(self, "z", np.where(valid, z, complex(np.nan, np.nan)))
-        freeze_arrays(self)
+        freeze_arrays(self, frequencies_hz=f, z=np.where(valid, z, complex(np.nan, np.nan)),
+                      valid=valid)
 
     @property
     def resistance(self) -> np.ndarray:

@@ -135,6 +135,14 @@ def resonant_frequency(profile: ImpedanceProfile) -> ResonanceEstimates:
     return ResonanceEstimates(reactance_zero_hz=zero_hz, min_magnitude_hz=min_hz)
 
 
+def _edge(f, mag, inside: int, outside: int, threshold_ohm: float) -> float:
+    """The threshold crossing between adjacent samples; at ``inside`` if ``outside`` is invalid."""
+    if not np.isfinite(mag[outside]):
+        return float(f[inside])
+    frac = (mag[outside] - threshold_ohm) / (mag[outside] - mag[inside])
+    return float(f[outside] + frac * (f[inside] - f[outside]))
+
+
 def low_impedance_bandwidth(
     profile: ImpedanceProfile, threshold_ohm: float
 ) -> tuple[float, float] | None:
@@ -149,34 +157,16 @@ def low_impedance_bandwidth(
         raise ValueError("threshold must be positive")
     f = profile.frequencies_hz
     mag = np.where(profile.valid, np.abs(profile.z), np.inf)
-    n = f.size
     anchor = int(np.argmin(mag))
     if not np.isfinite(mag[anchor]) or mag[anchor] > threshold_ohm:
         return None
 
-    lo = anchor
-    while lo > 0 and mag[lo - 1] <= threshold_ohm:
-        lo -= 1
-    hi = anchor
-    while hi < n - 1 and mag[hi + 1] <= threshold_ohm:
-        hi += 1
-
-    if lo == 0:
-        f_lo = float(f[0])
-    elif not np.isfinite(mag[lo - 1]):
-        f_lo = float(f[lo])
-    else:
-        frac = (mag[lo - 1] - threshold_ohm) / (mag[lo - 1] - mag[lo])
-        f_lo = float(f[lo - 1] + frac * (f[lo] - f[lo - 1]))
-
-    if hi == n - 1:
-        f_hi = float(f[n - 1])
-    elif not np.isfinite(mag[hi + 1]):
-        f_hi = float(f[hi])
-    else:
-        frac = (mag[hi + 1] - threshold_ohm) / (mag[hi + 1] - mag[hi])
-        f_hi = float(f[hi + 1] - frac * (f[hi + 1] - f[hi]))
-
+    # The band ends at the nearest sample on each side above the threshold or invalid (inf).
+    outside = np.flatnonzero(mag > threshold_ohm)
+    k = int(np.searchsorted(outside, anchor))
+    below, above = outside[:k], outside[k:]
+    f_lo = _edge(f, mag, below[-1] + 1, below[-1], threshold_ohm) if below.size else float(f[0])
+    f_hi = _edge(f, mag, above[0] - 1, above[0], threshold_ohm) if above.size else float(f[-1])
     return (f_lo, f_hi)
 
 

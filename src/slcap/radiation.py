@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import freeze_arrays
+
 __all__ = [
     "SPEED_OF_LIGHT",
     "ISOTROPIC",
@@ -81,9 +83,12 @@ class ElementModel:
         return ax / np.linalg.norm(ax)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ArrayLayout:
-    """Element positions (meters), complex weights and the operating frequency."""
+    """Element positions (meters), complex weights and the operating frequency.
+
+    The arrays are stored as read-only views.
+    """
 
     positions_m: np.ndarray
     weights: np.ndarray
@@ -101,8 +106,7 @@ class ArrayLayout:
             raise ValueError("positions and weights must be finite")
         if not (self.frequency_hz > 0 and math.isfinite(self.frequency_hz)):
             raise ValueError("frequency must be positive and finite")
-        self.positions_m = p
-        self.weights = w
+        freeze_arrays(self, positions_m=p, weights=w)
 
     @property
     def n_elements(self) -> int:
@@ -176,12 +180,13 @@ def parse_layout(text: str) -> ArrayLayout:
         raise ValueError(str(exc)) from None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RadiationPattern:
     """Intensity samples on a theta x phi grid at one frequency.
 
     theta covers [0, pi] inclusive; phi covers [0, 2 pi) exclusive of the
-    wrap point.  ``u`` is non-negative with shape (n_theta, n_phi).
+    wrap point.  ``u`` is non-negative with shape (n_theta, n_phi).  The
+    arrays are stored as read-only views.
     """
 
     theta_rad: np.ndarray
@@ -205,9 +210,7 @@ class RadiationPattern:
             raise ValueError("u must have shape (n_theta, n_phi)")
         if not np.all(np.isfinite(u)) or np.any(u < 0):
             raise ValueError("intensities must be finite and non-negative")
-        self.theta_rad = t
-        self.phi_rad = p
-        self.u = u
+        freeze_arrays(self, theta_rad=t, phi_rad=p, u=u)
 
 
 @dataclass(frozen=True)
@@ -448,19 +451,6 @@ def polar_cut(pattern: RadiationPattern, phi_cut_rad: float = 0.0):
     return angles, values
 
 
-def _circular_mean_angle(angles: np.ndarray, start: int, length: int) -> float:
-    n = angles.size
-    idx = [(start + k) % n for k in range(length)]
-    base = angles[idx[0]]
-    total = 0.0
-    for i in idx:
-        a = angles[i]
-        while a < base:
-            a += 2.0 * math.pi
-        total += a
-    return (total / length) % (2.0 * math.pi)
-
-
 def find_lobes(
     pattern: RadiationPattern, phi_cut_rad: float = 0.0, main_threshold_db: float = 10.0
 ) -> list[Lobe]:
@@ -486,39 +476,26 @@ def find_lobes(
                  degenerate=True)
         ]
 
-    # Group circularly-adjacent equal samples into runs.
-    run_id = np.zeros(m, dtype=int)
-    current = 0
-    for i in range(1, m):
-        if abs(values[i] - values[i - 1]) > tol:
-            current += 1
-        run_id[i] = current
-    if abs(values[0] - values[-1]) <= tol:
-        run_id[run_id == run_id[-1]] = 0  # merge the wrap-around run
+    # Runs of circularly adjacent equal samples: a run starts at each step larger
+    # than tol, and the last run wraps round to the first start.  A cut with no
+    # such step has no run, and no lobe.
+    starts = np.flatnonzero(np.abs(values - np.roll(values, 1)) > tol)
+    lengths = np.diff(starts, append=starts[:1] + m)
+    levels = values[starts]
+    peaks = (levels > values[starts - 1] + tol) & (levels > values[(starts + lengths) % m] + tol)
 
     lobes = []
-    for rid in np.unique(run_id):
-        members = np.nonzero(run_id == rid)[0]
-        if rid == 0 and run_id[-1] == 0 and run_id[0] == 0 and members.size < m:
-            # Reorder a wrapping run so it is contiguous starting from its tail.
-            tail = members[np.nonzero(np.diff(members) > 1)[0] + 1]
-            if tail.size:
-                members = np.concatenate([tail, members[: members.size - tail.size]])
-        start = int(members[0])
-        length = members.size
-        prev_val = values[(start - 1) % m]
-        next_val = values[(start + length) % m]
+    for start, length in zip(starts[peaks].tolist(), lengths[peaks].tolist()):
+        # The plateau's midpoint: its angles past the wrap point gain a turn.
+        # np.cumsum adds left to right, as a loop does; np.sum (pairwise) and,
+        # from Python 3.12, sum (compensated) can round differently.
+        run = angles[np.arange(start, start + length) % m]
+        run = np.where(run < run[0], run + 2.0 * math.pi, run)
+        angle = float(np.cumsum(run)[-1]) / length % (2.0 * math.pi)
         level = float(values[start])
-        if level > prev_val + tol and level > next_val + tol:
-            angle = _circular_mean_angle(angles, start, length)
-            level_db = 10.0 * math.log10(level / peak)
-            lobes.append(
-                Lobe(
-                    angle_rad=float(angle),
-                    level=level,
-                    level_db=level_db,
-                    is_main=level_db >= threshold_db,
-                )
-            )
+        level_db = 10.0 * math.log10(level / peak)
+        lobes.append(
+            Lobe(angle_rad=angle, level=level, level_db=level_db, is_main=level_db >= threshold_db)
+        )
     lobes.sort(key=lambda lb: lb.angle_rad)
     return lobes

@@ -33,6 +33,13 @@ UNIT_SCALE = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _UNIT_DISPLAY = {"hz": "Hz", "khz": "kHz", "mhz": "MHz", "ghz": "GHz"}
 ENCODINGS = ("ri", "ma", "db")
 _PARAMETER_KINDS = ("s", "y", "z", "g", "h")
+# Each option-line slot, named as its duplicate-token error names it, and its tokens.
+_OPTION_SLOTS = {
+    "frequency unit": tuple(UNIT_SCALE),
+    "encoding": ENCODINGS,
+    "parameter-kind": _PARAMETER_KINDS,
+    "reference-impedance": ("r",),
+}
 
 DEFAULT_Z0 = 50.0
 PASSIVITY_TOL = 1e-9
@@ -65,6 +72,14 @@ class TouchstoneFormat:
             raise ValueError("reference impedance must be positive and finite")
 
 
+def _check_sweep(f: np.ndarray) -> None:
+    """Raise ValueError unless the frequencies are finite, positive and strictly increasing."""
+    if not np.all(np.isfinite(f)) or not np.all(f > 0):
+        raise ValueError("frequencies must be finite and positive")
+    if f.size > 1 and not np.all(np.diff(f) > 0):
+        raise ValueError("frequencies must be strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkData:
     """Frequency sweep of scattering matrices against a real reference impedance.
@@ -83,10 +98,7 @@ class NetworkData:
         s = np.asarray(self.s, dtype=complex)
         if f.ndim != 1 or f.size == 0:
             raise ValueError("frequencies must be a non-empty 1-D array")
-        if not np.all(np.isfinite(f)) or not np.all(f > 0):
-            raise ValueError("frequencies must be finite and positive")
-        if f.size > 1 and not np.all(np.diff(f) > 0):
-            raise ValueError("frequencies must be strictly increasing")
+        _check_sweep(f)
         if s.ndim != 3 or s.shape[0] != f.size or s.shape[1] != s.shape[2]:
             raise ValueError("s must have shape (n_points, n_ports, n_ports)")
         if s.shape[1] not in (1, 2):
@@ -95,9 +107,7 @@ class NetworkData:
             raise ValueError("scattering parameters must be finite")
         if not (self.z0_ohm > 0 and math.isfinite(self.z0_ohm)):
             raise ValueError("reference impedance must be positive and finite")
-        object.__setattr__(self, "frequencies_hz", f)
-        object.__setattr__(self, "s", s)
-        freeze_arrays(self)
+        freeze_arrays(self, frequencies_hz=f, s=s)
 
     @property
     def n_points(self) -> int:
@@ -118,27 +128,18 @@ class NetworkData:
 
 def _parse_option_line(line: str, line_number: int) -> TouchstoneFormat:
     tokens = line[1:].split()
-    unit = encoding = None
-    z0 = None
-    kind = None
+    found: dict[str, str] = {}
+    z0 = DEFAULT_Z0
     i = 0
     while i < len(tokens):
         tok = tokens[i].lower()
-        if tok in UNIT_SCALE:
-            if unit is not None:
-                raise TouchstoneParseError(line_number, "duplicate frequency unit token")
-            unit = tok
-        elif tok in ENCODINGS:
-            if encoding is not None:
-                raise TouchstoneParseError(line_number, "duplicate encoding token")
-            encoding = tok
-        elif tok in _PARAMETER_KINDS:
-            if kind is not None:
-                raise TouchstoneParseError(line_number, "duplicate parameter-kind token")
-            kind = tok
-        elif tok == "r":
-            if z0 is not None:
-                raise TouchstoneParseError(line_number, "duplicate reference-impedance token")
+        slot = next((name for name, choices in _OPTION_SLOTS.items() if tok in choices), None)
+        if slot is None:
+            raise TouchstoneParseError(line_number, f"unknown option token {tokens[i]!r}")
+        if slot in found:
+            raise TouchstoneParseError(line_number, f"duplicate {slot} token")
+        found[slot] = tok
+        if tok == "r":
             if i + 1 >= len(tokens):
                 raise TouchstoneParseError(line_number, "'R' token missing its impedance value")
             try:
@@ -150,16 +151,15 @@ def _parse_option_line(line: str, line_number: int) -> TouchstoneFormat:
             if not (z0 > 0 and math.isfinite(z0)):
                 raise TouchstoneParseError(line_number, "reference impedance must be positive")
             i += 1
-        else:
-            raise TouchstoneParseError(line_number, f"unknown option token {tokens[i]!r}")
         i += 1
-    if kind is not None and kind != "s":
+    kind = found.get("parameter-kind", "s")
+    if kind != "s":
         raise TouchstoneParseError(
             line_number, f"parameter kind {kind.upper()!r} is not supported (scattering only)"
         )
     # Touchstone v1 defaults apply for any omitted token.
     return TouchstoneFormat(
-        unit=unit or "ghz", encoding=encoding or "ma", z0_ohm=DEFAULT_Z0 if z0 is None else z0
+        unit=found.get("frequency unit", "ghz"), encoding=found.get("encoding", "ma"), z0_ohm=z0
     )
 
 

@@ -102,6 +102,8 @@ MALFORMED_TOUCHSTONE = [
     ("# Hz S RI R 50\n! nothing\n", 2, "no data rows"),
     ("# Hz GHz S RI R 50\n1 0 0\n", 1, "duplicate frequency unit"),
     ("# Hz S RI MA R 50\n1 0 0\n", 1, "duplicate encoding"),
+    ("# Hz S RI S R 50\n1 0 0\n", 1, "duplicate parameter-kind token"),
+    ("# Hz S RI R 50 R 75\n1 0 0\n", 1, "duplicate reference-impedance token"),
     ("# Hz S RI R 50\n1 0 0 0 0 0 0\n", 2, "expected 3 columns"),
 ]
 

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -654,6 +656,20 @@ BAD_INPUTS = {
         ["match", "@bad.s2p", "--f-design", "1"], 2,
         "bad.s2p: line 3: dB level 100000.0 overflows the float range",
     ),
+    # Every input file is read through one wrapper: a missing file and a parser's
+    # rejection both name the file.
+    "analyze_missing_file": ({}, ["analyze", "@gone.s2p"], 2, "gone.s2p"),
+    "layout_missing_file": ({}, ["pattern", "--layout", "@gone.json"], 2, "gone.json"),
+    "rssi_at_malformed": (
+        {"novel.log": "2025-11-04T09:00:00Z +CSQ: twenty,0\n", "baseline.log": cases.BASELINE_LOG},
+        ["rssi", "@novel.log", "@baseline.log"], 2, "novel.log: line 1: not a +CSQ reading",
+    ),
+    "rssi_csv_malformed": (
+        {"novel.csv": "timestamp,rssi,ber\n2025-11-04T09:00:00Z,x,0\n",
+         "baseline.csv": "timestamp,rssi,ber\n"},
+        ["rssi", "--format", "csv", "@novel.csv", "@baseline.csv"], 2,
+        "novel.csv: line 2: rssi and ber must be integers",
+    ),
 }
 
 
@@ -672,3 +688,18 @@ def test_bad_input_exit_code_and_message(tmp_path, capsys, name):
     assert code == expected_code
     assert "Traceback" not in err
     assert named in err
+
+
+def test_traced_names_resolve(monkeypatch):
+    """Each function that the per-layer trace (``bench/layers.py``) patches by name exists."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("_bench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = [
+        (module, name)
+        for module, name, _ in layers.WRAPPED
+        if not callable(getattr(importlib.import_module(f"slcap.{module}"), name, None))
+    ]
+    assert layers.WRAPPED and missing == []

@@ -191,6 +191,88 @@ class TestBandwidth:
             low_impedance_bandwidth(rlc_profile, 0.0)
 
 
+def reference_bandwidth(profile, threshold_ohm):
+    """``low_impedance_bandwidth`` as it was written before its array scan: two
+    ``while`` walks out from the |Z| minimum, then a mirrored edge block per side."""
+    if threshold_ohm <= 0:
+        raise ValueError("threshold must be positive")
+    f = profile.frequencies_hz
+    mag = np.where(profile.valid, np.abs(profile.z), np.inf)
+    n = f.size
+    anchor = int(np.argmin(mag))
+    if not np.isfinite(mag[anchor]) or mag[anchor] > threshold_ohm:
+        return None
+    lo = anchor
+    while lo > 0 and mag[lo - 1] <= threshold_ohm:
+        lo -= 1
+    hi = anchor
+    while hi < n - 1 and mag[hi + 1] <= threshold_ohm:
+        hi += 1
+    if lo == 0:
+        f_lo = float(f[0])
+    elif not np.isfinite(mag[lo - 1]):
+        f_lo = float(f[lo])
+    else:
+        frac = (mag[lo - 1] - threshold_ohm) / (mag[lo - 1] - mag[lo])
+        f_lo = float(f[lo - 1] + frac * (f[lo] - f[lo - 1]))
+    if hi == n - 1:
+        f_hi = float(f[n - 1])
+    elif not np.isfinite(mag[hi + 1]):
+        f_hi = float(f[hi])
+    else:
+        frac = (mag[hi + 1] - threshold_ohm) / (mag[hi + 1] - mag[hi])
+        f_hi = float(f[hi + 1] - frac * (f[hi + 1] - f[hi]))
+    return (f_lo, f_hi)
+
+
+class TestBandwidthReference:
+    """The array scan against the ``while`` walks, compared with ``==``."""
+
+    def random_profile(self, rng, n, holes, at_threshold):
+        f = 1e8 + np.cumsum(rng.uniform(1e6, 1e8, n))
+        z = rng.uniform(0.1, 6.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        z[rng.random(n) < at_threshold] = 3.0  # |Z| exactly at the 3 ohm threshold
+        z[rng.random(n) < holes] = np.nan
+        return profile_of(z, f_hz=f)
+
+    def test_random_profiles_with_holes(self, rng):
+        for _ in range(3000):
+            profile = self.random_profile(
+                rng, int(rng.integers(1, 40)), holes=rng.choice([0.0, 0.1, 0.4]),
+                at_threshold=rng.choice([0.0, 0.2]),
+            )
+            for threshold in (3.0, float(rng.uniform(0.05, 8.0))):
+                expected = reference_bandwidth(profile, threshold)
+                assert low_impedance_bandwidth(profile, threshold) == expected
+
+    @pytest.mark.parametrize("mags, expected_edges", [
+        ([1.0, 1.0, 5.0, 5.0], ("start", "interp")),  # touches the low end
+        ([5.0, 5.0, 1.0, 1.0], ("interp", "end")),  # touches the high end
+        ([1.0, 1.0, 1.0, 1.0], ("start", "end")),  # the whole sweep
+        # A sample exactly at the threshold is inside, and the edge lands on it.
+        ([3.0, 1.0, 3.0, 9.0], ("start", "inside")),
+        ([9.0, 3.0, 1.0, 3.0], ("inside", "end")),
+        ([np.nan, 1.0, 2.0, np.nan], ("inside", "inside")),  # holes on both sides
+        ([5.0, 1.0, np.nan, 1.0], ("interp", "inside")),
+    ])
+    def test_edges(self, mags, expected_edges):
+        profile = profile_of(np.asarray(mags) + 0j, f_hz=[1e9, 2e9, 3e9, 4e9])
+        got = low_impedance_bandwidth(profile, 3.0)
+        assert got == reference_bandwidth(profile, 3.0)
+        f = profile.frequencies_hz
+        kinds = (
+            "start" if got[0] == f[0] else "inside" if got[0] in f else "interp",
+            "end" if got[1] == f[-1] else "inside" if got[1] in f else "interp",
+        )
+        assert kinds == expected_edges
+
+    def test_no_band(self):
+        profile = profile_of([5.0, np.nan, 4.0])
+        assert low_impedance_bandwidth(profile, 3.0) is None
+        assert reference_bandwidth(profile, 3.0) is None
+        assert low_impedance_bandwidth(profile_of([np.nan, np.nan]), 3.0) is None
+
+
 class TestMetricsReport:
     def test_rlc_summary(self, rlc_profile):
         rep = metrics_report(rlc_profile, df_threshold=0.02, z_threshold_ohm=2.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -540,6 +541,178 @@ class TestBlockFailures:
         assert threading.active_count() == before
         assert hooked == [] and capfd.readouterr().err == ""
         assert len(calls) <= cpus  # the first failure stops the rest
+
+
+# ---------------------------------------------------------------------------
+# find_lobes against its per-sample loop
+#
+# ``reference_find_lobes`` is the loop that the run scan replaced: a run id per
+# sample, a merge of the run across the wrap, and a ``while`` unwrap per angle.
+
+
+def _reference_circular_mean_angle(angles, start, length):
+    n = angles.size
+    idx = [(start + k) % n for k in range(length)]
+    base = angles[idx[0]]
+    total = 0.0
+    for i in idx:
+        a = angles[i]
+        while a < base:
+            a += 2.0 * math.pi
+        total += a
+    return (total / length) % (2.0 * math.pi)
+
+
+def reference_find_lobes(pattern, phi_cut_rad=0.0, main_threshold_db=10.0):
+    angles, values = polar_cut(pattern, phi_cut_rad)
+    m = values.size
+    peak = float(values.max())
+    if peak <= 0:
+        raise ValueError("cut is identically zero")
+    tol = radiation._PLATEAU_RTOL * peak
+    threshold_db = -abs(main_threshold_db)
+    if float(values.min()) >= peak - tol:
+        return [radiation.Lobe(float(angles[0]), peak, 0.0, True, degenerate=True)]
+    run_id = np.zeros(m, dtype=int)
+    current = 0
+    for i in range(1, m):
+        if abs(values[i] - values[i - 1]) > tol:
+            current += 1
+        run_id[i] = current
+    if abs(values[0] - values[-1]) <= tol:
+        run_id[run_id == run_id[-1]] = 0
+    lobes = []
+    for rid in np.unique(run_id):
+        members = np.nonzero(run_id == rid)[0]
+        if rid == 0 and run_id[-1] == 0 and run_id[0] == 0 and members.size < m:
+            tail = members[np.nonzero(np.diff(members) > 1)[0] + 1]
+            if tail.size:
+                members = np.concatenate([tail, members[: members.size - tail.size]])
+        start = int(members[0])
+        length = members.size
+        prev_val = values[(start - 1) % m]
+        next_val = values[(start + length) % m]
+        level = float(values[start])
+        if level > prev_val + tol and level > next_val + tol:
+            angle = _reference_circular_mean_angle(angles, start, length)
+            level_db = 10.0 * math.log10(level / peak)
+            lobes.append(radiation.Lobe(float(angle), level, level_db, level_db >= threshold_db))
+    lobes.sort(key=lambda lb: lb.angle_rad)
+    return lobes
+
+
+def pattern_with_cut(values, theta=None):
+    """A two-column pattern (phi 0 and pi) whose phi = 0 polar cut is ``values``."""
+    n = (len(values) + 2) // 2
+    if theta is None:
+        theta = np.linspace(0.0, math.pi, n)
+    u = np.empty((n, 2))
+    u[:, 0] = values[:n]
+    u[-2:0:-1, 1] = values[n:]
+    u[[0, -1], 1] = u[[0, -1], 0]
+    return RadiationPattern(theta_rad=theta, phi_rad=[0.0, math.pi], u=u, frequency_hz=F0)
+
+
+def random_theta(rng, n):
+    """A non-uniform theta grid over [0, pi] with ``n`` points."""
+    theta = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n - 1))])
+    theta *= math.pi / theta[-1]
+    theta[-1] = math.pi
+    return theta
+
+
+class TestFindLobesReference:
+    """The run scan against the per-sample loop, compared with ``==``."""
+
+    def assert_same(self, pattern, **kw):
+        got = find_lobes(pattern, **kw)
+        assert got == reference_find_lobes(pattern, **kw)
+        return got
+
+    @pytest.mark.parametrize("kind", ["random", "integer", "wrap"])
+    def test_random_cuts(self, rng, kind):
+        for _ in range(1500):
+            n = int(rng.integers(3, 40))
+            m = 2 * n - 2
+            if kind == "random":
+                values = rng.uniform(0.0, 1.0, m)
+            else:  # plateaus: few distinct levels, so runs of equal samples
+                values = rng.integers(0, 4, m).astype(float) + 1.0
+            if kind == "wrap":  # one plateau over the wrap point, at the peak
+                k = int(rng.integers(1, min(n, 6)))
+                values[:k] = values[m - k:] = 5.0
+            theta = np.linspace(0.0, math.pi, n) if rng.random() < 0.5 else random_theta(rng, n)
+            pattern = pattern_with_cut(values, theta)
+            self.assert_same(pattern, main_threshold_db=float(rng.uniform(0.5, 20.0)))
+
+    def test_plateau_across_the_wrap_is_one_lobe(self):
+        values = np.array([4.0, 4.0, 1.0, 2.0, 1.0, 1.0, 3.0, 4.0])
+        lobes = self.assert_same(pattern_with_cut(values))
+        assert [lb.level for lb in lobes] == [4.0, 2.0]
+        wrapped = lobes[0].angle_rad  # the midpoint of 7 pi / 4, 0 and pi / 4
+        assert min(wrapped, 2.0 * math.pi - wrapped) == pytest.approx(0.0, abs=1e-12)
+
+    def test_wrap_plateau_on_a_grid_starting_below_zero(self):
+        # theta may start up to 1e-12 below zero.  ``reference_find_lobes``
+        # unwraps the -1e-12 sample twice, past the 2 pi + 5e-13 one, and puts
+        # this lobe at pi: the one case where the scan is not held to the loop.
+        theta = np.concatenate([[-1e-12, -5e-13], np.linspace(0.5, math.pi, 6)])
+        values = np.ones(2 * theta.size - 2)
+        values[0] = values[-1] = 2.0
+        (lobe,) = find_lobes(pattern_with_cut(values, theta))
+        assert min(lobe.angle_rad, 2.0 * math.pi - lobe.angle_rad) < 1e-12
+
+    @pytest.mark.parametrize("bounce", [False, True])
+    def test_slow_drift_has_no_lobe(self, bounce):
+        # Every adjacent step is within the plateau tolerance, but the cut is not
+        # uniform; with ``bounce`` the step across the wrap is within it too.
+        ramp = 1.0 + 0.4e-9 * np.arange(50)
+        values = np.concatenate([ramp, ramp[::-1]]) if bounce else np.concatenate([ramp, ramp])
+        lobes = self.assert_same(pattern_with_cut(values))
+        assert lobes == []
+
+    @pytest.mark.parametrize("name", sorted(PATTERN_LAYOUTS))
+    def test_every_layout(self, name):
+        pattern = evaluate_pattern(PATTERN_LAYOUTS[name], *GRID)
+        for phi_cut_deg in (0.0, 37.0, 90.0, 200.0):
+            for threshold in (3.0, 10.0, 30.0):
+                self.assert_same(pattern, phi_cut_rad=math.radians(phi_cut_deg),
+                                 main_threshold_db=threshold)
+
+
+class TestFrozen:
+    def test_layout_is_frozen(self):
+        positions, weights = np.zeros((2, 3)), np.ones(2, dtype=complex)
+        layout = ArrayLayout(positions_m=positions, weights=weights, frequency_hz=F0)
+        for name, value in (("weights", "x"), ("frequency_hz", 2e9), ("positions_m", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(layout, name, value)
+        with pytest.raises(ValueError, match="read-only"):
+            layout.positions_m[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            layout.weights[0] = 5.0
+        positions[0, 0], weights[0] = 1.0, 5.0  # the caller's arrays stay writable
+        assert layout.positions_m[0, 0] == 1.0 and layout.weights[0] == 5.0
+        assert layout == layout and hash(layout) == hash(layout)
+
+    def test_pattern_is_frozen(self):
+        theta, phi = make_grid(30.0, 90.0)
+        u = np.ones((theta.size, phi.size))
+        pattern = RadiationPattern(theta_rad=theta, phi_rad=phi, u=u, frequency_hz=F0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pattern.u = np.zeros_like(u)
+        for name in ("theta_rad", "phi_rad", "u"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(pattern, name)[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            pattern.u[3, 3] = -5.0  # would bypass the non-negative check
+        assert directivity(pattern) == pytest.approx(1.0)
+        u[3, 3] = 2.0  # the caller's array stays writable
+        assert pattern.u[3, 3] == 2.0
+
+    def test_evaluated_pattern_is_read_only(self):
+        pattern = evaluate_pattern(single_element(), *make_grid(30.0, 90.0))
+        assert not pattern.u.flags.writeable
 
 
 class TestParseLayout:
