@@ -64,6 +64,7 @@ from .touchstone import (
     ENCODINGS,
     UNIT_SCALE,
     TouchstoneFormat,
+    _magnitude,
     iter_touchstone,
     parse_touchstone,
     validate_passivity,
@@ -171,29 +172,21 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
         raise InputError(f"{where}: {exc}") from None
 
 
-def _effective_config(args: argparse.Namespace, flags: dict[str, str]) -> RunConfig:
-    """Defaults, then the ``--config`` file, then the flags (each flag's dest is its key).
+class _ConfigFlag(argparse.Action):
+    """Stores a config flag's value as (value, flag), the flag being that value's origin."""
 
-    ``flags`` maps each dest to its flag, the origin of a flag's value.
-    """
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, (values, option_string))
+
+
+def _effective_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the ``--config`` file, then the flags (each flag's dest is its key)."""
     overrides = {
-        f.name: (getattr(args, f.name), flags[f.name])
+        f.name: getattr(args, f.name)
         for f in fields(RunConfig)
         if getattr(args, f.name, None) is not None
     }
     return load_config(args.config, overrides)
-
-
-def _option_flags(parser: argparse.ArgumentParser) -> dict[str, str]:
-    """Each option's dest -> its first flag, over ``parser`` and its subcommands."""
-    flags = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                flags.update(_option_flags(sub))
-        elif action.option_strings:
-            flags[action.dest] = action.option_strings[0]
-    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +228,6 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
             fh.write((row * len(block[0])) % tuple(cells))
 
 
-def _magnitude(z: np.ndarray) -> np.ndarray:
-    # np.hypot, not np.abs: like scalar abs(complex), np.hypot calls the C
-    # library's hypot, so the two agree bit for bit.  numpy's complex abs kernel
-    # can differ in the last bit, which would move the .9g text of some rows.
-    return np.hypot(z.real, z.imag)
-
-
 def _db_below_peak(values: np.ndarray) -> np.ndarray:
     """10 log10(values / max(values)); zero intensity reads -inf."""
     with np.errstate(divide="ignore"):
@@ -250,7 +236,7 @@ def _db_below_peak(values: np.ndarray) -> np.ndarray:
 
 def write_impedance_csv(path: Path, profile: ImpedanceProfile) -> None:
     z = profile.z
-    columns = [profile.frequencies_hz, z.real, z.imag, _magnitude(z)]
+    columns = [profile.frequencies_hz, z.real, z.imag, profile.magnitude]
     _write_csv(path, ["freq_hz", "re_z_ohm", "im_z_ohm", "mag_z_ohm"], columns)
 
 
@@ -392,6 +378,11 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
+# The report rows of each L-section variant, in order: its MatchingNetwork fields.
+_L_SECTION_ROWS = ("series_x_ohm", "shunt_x_ohm", "series_l_h", "series_c_f",
+                   "shunt_l_h", "shunt_c_f")
+
+
 def cmd_match(args: argparse.Namespace, cfg: RunConfig) -> int:
     profile = _profile_from_file(args.s_file, cfg)
     f = profile.frequencies_hz
@@ -431,30 +422,14 @@ def cmd_match(args: argparse.Namespace, cfg: RunConfig) -> int:
         rows.append(("variant", network.variant))
         for net in networks:
             tag = net.variant.replace("-", "_")
-            rows.extend(
-                [
-                    (f"{tag}.series_x_ohm", num(net.series_x_ohm)),
-                    (f"{tag}.shunt_x_ohm", num(net.shunt_x_ohm)),
-                    (f"{tag}.series_l_h", num(net.series_l_h)),
-                    (f"{tag}.series_c_f", num(net.series_c_f)),
-                    (f"{tag}.shunt_l_h", num(net.shunt_l_h)),
-                    (f"{tag}.shunt_c_f", num(net.shunt_c_f)),
-                ]
-            )
-    rows.extend(
-        [
-            ("vswr_unmatched_at_f_design", num(unmatched.at(args.f_design))),
-            ("vswr_matched_at_f_design", num(matched.at(args.f_design))),
-            (
-                "antenna_fraction_at_f_design",
-                num(np.interp(args.f_design, f, split.antenna_fraction)),
-            ),
-            (
-                "mismatch_loss_db_at_f_design",
-                num(np.interp(args.f_design, f, split.mismatch_loss_db)),
-            ),
-        ]
-    )
+            rows += [(f"{tag}.{key}", num(getattr(net, key))) for key in _L_SECTION_ROWS]
+    at = args.f_design
+    rows += [
+        ("vswr_unmatched_at_f_design", num(unmatched.at(at))),
+        ("vswr_matched_at_f_design", num(matched.at(at))),
+        ("antenna_fraction_at_f_design", num(np.interp(at, f, split.antenna_fraction))),
+        ("mismatch_loss_db_at_f_design", num(np.interp(at, f, split.mismatch_loss_db))),
+    ]
     _emit_report(out / "match_report.txt", rows)
     if args.svg:
         svg = line_plot_svg(
@@ -520,14 +495,25 @@ def cmd_pattern(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _parse_claimed(pairs: list[str] | None) -> list[tuple[int, float]]:
     claimed = []
     for item in pairs or []:
-        code, sep, dbm = item.partition(":")
-        if not sep:
-            raise InputError(f"--check-dbm needs CODE:DBM, got {item!r}")
+        code, _, dbm = item.partition(":")
         try:
-            claimed.append((int(code), float(dbm)))
+            code, dbm = int(code), float(dbm)
         except ValueError:
             raise InputError(f"--check-dbm needs CODE:DBM, got {item!r}") from None
+        if not (0 <= code <= 31 and math.isfinite(dbm)):
+            raise InputError(f"--check-dbm needs a code in 0..31 and a finite dBm, got {item!r}")
+        claimed.append((code, dbm))
     return claimed
+
+
+def _area(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"area must be positive and finite, got {text!r}")
+    return value
 
 
 def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -616,21 +602,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", help="key = value settings file")
-    parser.add_argument("--out-dir", help="directory for output files (default .)")
-    parser.add_argument("--z0", dest="z0_ohm", metavar="Z0", type=float,
+    parser.add_argument("--out-dir", action=_ConfigFlag,
+                        help="directory for output files (default .)")
+    parser.add_argument("--z0", dest="z0_ohm", metavar="Z0", type=float, action=_ConfigFlag,
                         help="system impedance in ohms (default 50)")
-    parser.add_argument(
-        "--fixture", choices=FIXTURE_MODES, help="impedance extraction convention"
-    )
+    parser.add_argument("--fixture", choices=FIXTURE_MODES, action=_ConfigFlag,
+                        help="impedance extraction convention")
     parser.add_argument("--svg", action="store_true", help="also write SVG plots")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="impedance profile and loss metrics from a Touchstone file")
     p.add_argument("s_file")
-    p.add_argument("--df-threshold", type=float, help="DF band-fraction threshold")
+    p.add_argument("--df-threshold", type=float, action=_ConfigFlag,
+                   help="DF band-fraction threshold")
     p.add_argument("--z-threshold", dest="z_threshold_ohm", metavar="Z_THRESHOLD",
-                   type=float, help="|Z| bandwidth threshold in ohms")
+                   type=float, action=_ConfigFlag, help="|Z| bandwidth threshold in ohms")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("match", help="design a matching network and evaluate VSWR")
@@ -654,19 +641,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-cut-deg", type=float, default=0.0)
     p.add_argument("--efficiency", type=float, default=1.0)
     p.add_argument("--theta-step", dest="theta_step_deg", metavar="THETA_STEP",
-                   type=float, help="theta grid step in degrees")
+                   type=float, action=_ConfigFlag, help="theta grid step in degrees")
     p.add_argument("--phi-step", dest="phi_step_deg", metavar="PHI_STEP",
-                   type=float, help="phi grid step in degrees")
+                   type=float, action=_ConfigFlag, help="phi grid step in degrees")
     p.add_argument("--lobe-db", dest="lobe_db_down", metavar="LOBE_DB",
-                   type=float, help="main-lobe threshold, dB below peak")
+                   type=float, action=_ConfigFlag, help="main-lobe threshold, dB below peak")
     p.set_defaults(func=cmd_pattern)
 
     p = sub.add_parser("rssi", help="compare two field logs (novel vs baseline)")
     p.add_argument("novel_log")
     p.add_argument("baseline_log")
     p.add_argument("--format", choices=("at", "csv"), default="at")
-    p.add_argument("--novel-area-mm2", type=float)
-    p.add_argument("--baseline-area-mm2", type=float)
+    p.add_argument("--novel-area-mm2", type=_area)
+    p.add_argument("--baseline-area-mm2", type=_area)
     p.add_argument(
         "--check-dbm",
         action="append",
@@ -696,7 +683,7 @@ def run_command(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code or 0)
     try:
-        cfg = _effective_config(args, _option_flags(parser))
+        cfg = _effective_config(args)
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         with warnings.catch_warnings(record=True) as caught:
             try:

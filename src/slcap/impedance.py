@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._frozen import freeze_arrays
-from .touchstone import NetworkData, _check_sweep
+from .touchstone import NetworkData, _check_sweep, _magnitude
 
 __all__ = [
     "REFLECTION",
@@ -81,7 +81,7 @@ class ImpedanceProfile:
 
     @property
     def magnitude(self) -> np.ndarray:
-        return np.abs(self.z)
+        return _magnitude(self.z)
 
     @property
     def n_points(self) -> int:

@@ -16,6 +16,7 @@ import numpy as np
 
 from ._frozen import freeze_arrays
 from .impedance import ImpedanceProfile, _reflection, impedance_at
+from .touchstone import _magnitude
 
 __all__ = [
     "SERIES_RESISTOR",
@@ -277,7 +278,7 @@ def vswr_profile(profile: ImpedanceProfile, z0: float = 50.0) -> VswrProfile:
     if not (z0 > 0 and math.isfinite(z0)):
         raise ValueError("z0 must be positive and finite")
     gamma = _reflection(profile.z, z0)
-    mag = np.abs(gamma)
+    mag = _magnitude(gamma)
     unbounded = mag >= _GAMMA_CAP
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (1.0 + mag) / (1.0 - mag)
@@ -302,7 +303,7 @@ def power_split_report(
     L-section is lossless so the full accepted power reaches the load.
     Mismatch at the matched input is reported separately.
     """
-    reflected = np.abs(matched.gamma) ** 2
+    reflected = _magnitude(matched.gamma) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         mismatch_db = -10.0 * np.log10(1.0 - reflected)
 

@@ -128,7 +128,7 @@ def resonant_frequency(profile: ImpedanceProfile) -> ResonanceEstimates:
             )
 
     min_hz: float | None = None
-    idx = int(np.argmin(np.where(profile.valid, np.abs(profile.z), np.inf)))
+    idx = int(np.argmin(np.where(profile.valid, profile.magnitude, np.inf)))
     if 0 < idx < f.size - 1:
         min_hz = float(f[idx])
 
@@ -156,7 +156,7 @@ def low_impedance_bandwidth(
     if threshold_ohm <= 0:
         raise ValueError("threshold must be positive")
     f = profile.frequencies_hz
-    mag = np.where(profile.valid, np.abs(profile.z), np.inf)
+    mag = np.where(profile.valid, profile.magnitude, np.inf)
     anchor = int(np.argmin(mag))
     if not np.isfinite(mag[anchor]) or mag[anchor] > threshold_ohm:
         return None

@@ -335,16 +335,19 @@ def _pattern_rows(u, layout, sin_t, cos_t, cos_p, sin_p) -> None:
         u *= np.maximum(1.0 - proj**2, 0.0)
 
 
+# Theta rows per block of the pattern: bounds each block's memory, not a setting.
+_CHUNK_ROWS = 16
+
+
 def evaluate_pattern(
     layout: ArrayLayout,
     theta_rad: np.ndarray | None = None,
     phi_rad: np.ndarray | None = None,
-    chunk_rows: int = 16,
 ) -> RadiationPattern:
     """Sample the array intensity on the grid (default 1 degree resolution).
 
-    The grid is evaluated in blocks of ``chunk_rows`` theta rows, which caps the
-    memory of each block.  The result is bit-identical at any chunk size and CPU
+    The grid is evaluated in blocks of ``_CHUNK_ROWS`` theta rows, which caps the
+    memory of each block.  The result is bit-identical at any block size and CPU
     count; the independent blocks use every CPU in the affinity set, with no setting.
     """
     if theta_rad is None or phi_rad is None:
@@ -353,8 +356,6 @@ def evaluate_pattern(
         phi_rad = default_p if phi_rad is None else phi_rad
     theta = np.asarray(theta_rad, dtype=float)
     phi = np.asarray(phi_rad, dtype=float)
-    if chunk_rows < 1:
-        raise ValueError("chunk_rows must be at least 1")
 
     sin_t = np.sin(theta)[:, None]
     cos_t = np.cos(theta)[:, None]
@@ -363,10 +364,10 @@ def evaluate_pattern(
     u = np.empty((theta.size, phi.size), dtype=float)
 
     def block(i):
-        rows = slice(i * chunk_rows, (i + 1) * chunk_rows)
+        rows = slice(i * _CHUNK_ROWS, (i + 1) * _CHUNK_ROWS)
         _pattern_rows(u[rows], layout, sin_t[rows], cos_t[rows], cos_p, sin_p)
 
-    _run_blocks(block, -(-theta.size // chunk_rows))
+    _run_blocks(block, -(-theta.size // _CHUNK_ROWS))
     return RadiationPattern(
         theta_rad=theta, phi_rad=phi, u=u, frequency_hz=layout.frequency_hz
     )

@@ -325,10 +325,20 @@ def _fmt_z0(z0: float) -> str:
 _BLOCK_ROWS = 4096
 
 
+def _magnitude(z: np.ndarray) -> np.ndarray:
+    """|z| of each entry: every complex magnitude slcap computes or writes is this one.
+
+    np.hypot, not np.abs: like scalar abs(complex), np.hypot calls the C
+    library's hypot, so the two agree bit for bit.  numpy's complex abs kernel
+    can differ in the last bit, which would move the .9g text of some rows.
+    """
+    return np.hypot(z.real, z.imag)
+
+
 def _pairs(encoding: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two numbers written for each entry of ``z`` in ``encoding``.
 
-    np.hypot and np.degrees match scalar ``abs`` and ``math.degrees`` bit for
+    ``_magnitude`` and np.degrees match scalar ``abs`` and ``math.degrees`` bit for
     bit; np.arctan2 and np.log10 can differ in the last bit, and ``%r`` prints
     every bit, so the angle and the dB level stay ``math`` calls per entry.
     """
@@ -337,7 +347,7 @@ def _pairs(encoding: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shape = z.shape
     angle = list(map(math.atan2, z.imag.ravel().tolist(), z.real.ravel().tolist()))
     ang = np.degrees(np.array(angle)).reshape(shape)
-    mag = np.hypot(z.real, z.imag)
+    mag = _magnitude(z)
     if encoding == "ma":
         return mag, ang
     # dB of an exact zero has no finite representation; floor keeps the file
@@ -396,7 +406,7 @@ def write_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None) -> s
 
 def validate_passivity(net: NetworkData, tol: float = PASSIVITY_TOL) -> list[str]:
     """Return a warning string per scattering entry with magnitude above 1 + tol."""
-    mags = np.abs(net.s)
+    mags = _magnitude(net.s)
     # np.nonzero yields (point, row, column) in C order: by point, then port pair.
     return [
         f"|S{i + 1}{j + 1}| = {mags[k, i, j]:.9g} exceeds 1 "

@@ -443,7 +443,7 @@ class TestConfigAndGlobalFlags:
         args = parser.parse_args(
             ["--config", str(cfg), "pattern", "--layout", "x.json", "--phi-step", "90"]
         )
-        merged = cli._effective_config(args, cli._option_flags(parser))
+        merged = cli._effective_config(args)
         assert (merged.theta_step_deg, merged.phi_step_deg) == (0.001, 90.0)
 
     def test_grid_budget_names_file_line_and_flag(self, tmp_path, capsys):
@@ -493,9 +493,11 @@ class TestConfigAndGlobalFlags:
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
     def test_module_entry_point(self, tmp_path, dipole_layout):
+        import os
         import subprocess
         import sys
 
+        src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [
                 sys.executable, "-m", "slcap",
@@ -504,6 +506,7 @@ class TestConfigAndGlobalFlags:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0
         assert "directivity = " in proc.stdout
@@ -670,6 +673,30 @@ BAD_INPUTS = {
         ["rssi", "--format", "csv", "@novel.csv", "@baseline.csv"], 2,
         "novel.csv: line 2: rssi and ber must be integers",
     ),
+    # A claimed code outside 0..31, a claimed level that is not finite, and an area that
+    # is not a positive finite number are bad input, named by their flag.
+    "check_dbm_code_40": (
+        {"novel.log": cases.NOVEL_LOG, "baseline.log": cases.BASELINE_LOG},
+        ["rssi", "@novel.log", "@baseline.log", "--check-dbm", "40:-33"], 2, "--check-dbm",
+    ),
+    "check_dbm_code_99": (
+        {"novel.log": cases.NOVEL_LOG, "baseline.log": cases.BASELINE_LOG},
+        ["rssi", "@novel.log", "@baseline.log", "--check-dbm", "99:-113"], 2, "--check-dbm",
+    ),
+    "check_dbm_level_nan": (
+        {"novel.log": cases.NOVEL_LOG, "baseline.log": cases.BASELINE_LOG},
+        ["rssi", "@novel.log", "@baseline.log", "--check-dbm", "11:nan"], 2, "--check-dbm",
+    ),
+    **{
+        f"{side}_area_{value}": (
+            {"novel.log": cases.NOVEL_LOG, "baseline.log": cases.BASELINE_LOG},
+            ["rssi", "@novel.log", "@baseline.log", "--novel-area-mm2", "2",
+             "--baseline-area-mm2", "2", f"--{side}-area-mm2", value],
+            2, f"--{side}-area-mm2",
+        )
+        for side in ("novel", "baseline")
+        for value in ("nan", "inf", "-1", "0")
+    },
 }
 
 

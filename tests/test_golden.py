@@ -236,7 +236,7 @@ GOLDEN = {
         "match_report.txt":
             "573107e9ce9770953f5266384e38a52bafdd76dbf18ead0e02c61d0effe1ab51",
         "vswr_matched.csv":
-            "e12d304c15f7934881ee0cdb10bc9a97fb0be337c02deadaba93314a4a9317d8",
+            "587536c716641b88a4cd74e40c9eb0026771c22bf3b6c770baf24df6d0f67341",
         "vswr_unmatched.csv":
             "0589236166f50dcbfdabe492f0fe7f2c4300fb061de458e3559d3f8247990976",
         "stdout":

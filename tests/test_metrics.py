@@ -193,11 +193,12 @@ class TestBandwidth:
 
 def reference_bandwidth(profile, threshold_ohm):
     """``low_impedance_bandwidth`` as it was written before its array scan: two
-    ``while`` walks out from the |Z| minimum, then a mirrored edge block per side."""
+    ``while`` walks out from the |Z| minimum, then a mirrored edge block per side.
+    Its |Z| is ``profile.magnitude``, the one magnitude every module reads."""
     if threshold_ohm <= 0:
         raise ValueError("threshold must be positive")
     f = profile.frequencies_hz
-    mag = np.where(profile.valid, np.abs(profile.z), np.inf)
+    mag = np.where(profile.valid, profile.magnitude, np.inf)
     n = f.size
     anchor = int(np.argmin(mag))
     if not np.isfinite(mag[anchor]) or mag[anchor] > threshold_ohm:

@@ -140,15 +140,13 @@ class TestEvaluate:
         np.testing.assert_allclose(shifted.u, base.u, atol=1e-9 * base.u.max())
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 181, 1000])
-    def test_chunking_is_bit_identical(self, chunk):
+    def test_chunking_is_bit_identical(self, chunk, monkeypatch):
         layout = broadside_four()
-        reference = evaluate_pattern(layout, chunk_rows=181)
-        chunked = evaluate_pattern(layout, chunk_rows=chunk)
+        monkeypatch.setattr(radiation, "_CHUNK_ROWS", 181)
+        reference = evaluate_pattern(layout)
+        monkeypatch.setattr(radiation, "_CHUNK_ROWS", chunk)
+        chunked = evaluate_pattern(layout)
         assert np.array_equal(chunked.u, reference.u)
-
-    def test_bad_chunk_rows(self):
-        with pytest.raises(ValueError):
-            evaluate_pattern(single_element(), chunk_rows=0)
 
     def test_pattern_validation(self):
         theta, phi = make_grid()
@@ -447,16 +445,17 @@ PATTERN_LAYOUTS = {
 GRID = make_grid(2.0, 5.0)  # 91 theta rows
 
 
-def assert_same_as_reference(layout, theta, phi, chunk_rows):
-    got = evaluate_pattern(layout, theta, phi, chunk_rows=chunk_rows).u
+def assert_same_as_reference(layout, theta, phi, chunk_rows, monkeypatch):
+    monkeypatch.setattr(radiation, "_CHUNK_ROWS", chunk_rows)
+    got = evaluate_pattern(layout, theta, phi).u
     assert got.tobytes() == reference_pattern(layout, theta, phi, chunk_rows).tobytes()
 
 
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("chunk", [1, 7, 16, 64, 200])
     @pytest.mark.parametrize("name", sorted(PATTERN_LAYOUTS))
-    def test_matches_reference(self, name, chunk):
-        assert_same_as_reference(PATTERN_LAYOUTS[name], *GRID, chunk)
+    def test_matches_reference(self, name, chunk, monkeypatch):
+        assert_same_as_reference(PATTERN_LAYOUTS[name], *GRID, chunk, monkeypatch)
 
     # 3 and 1 theta rows per block of 16 or 1: fewer blocks than CPUs, and
     # more threads than this machine may have CPUs.  A short switch interval
@@ -483,7 +482,7 @@ class TestReferenceEquivalence:
             for name in ("isotropic_64_steered", "dipole_64_real"):
                 threads.clear()
                 row_counts.clear()
-                assert_same_as_reference(PATTERN_LAYOUTS[name], theta, phi, chunk)
+                assert_same_as_reference(PATTERN_LAYOUTS[name], theta, phi, chunk, monkeypatch)
                 assert len(row_counts) == n_blocks and sum(row_counts) == theta.size
                 assert 1 <= len(threads) <= min(cpus, n_blocks)
                 assert threading.active_count() == before
@@ -535,9 +534,10 @@ class TestBlockFailures:
             original(*args)
 
         monkeypatch.setattr(radiation, "_pattern_rows", rows)
+        monkeypatch.setattr(radiation, "_CHUNK_ROWS", 1)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="injected caller failure"):
-            evaluate_pattern(broadside_four(), *GRID, chunk_rows=1)
+            evaluate_pattern(broadside_four(), *GRID)
         assert threading.active_count() == before
         assert hooked == [] and capfd.readouterr().err == ""
         assert len(calls) <= cpus  # the first failure stops the rest

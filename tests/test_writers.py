@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from slcap import cli, touchstone
-from slcap.impedance import FIXTURE_MODES, SeriesRlcModel, synthesize_series_rlc
+from slcap.impedance import FIXTURE_MODES, ImpedanceProfile, SeriesRlcModel, synthesize_series_rlc
+from slcap.matching import vswr_profile
 from slcap.report import num
 from slcap.svgplot import line_plot_svg
 from slcap.touchstone import (
@@ -165,13 +166,36 @@ def test_magnitude_matches_scalar_abs_bit_for_bit():
             return math.inf
 
     with np.errstate(invalid="ignore"):  # signalling nans among the random bits
-        got = cli._magnitude(z)
+        got = touchstone._magnitude(z)
     want = np.array([scalar_abs(v) for v in z.tolist()])
     # Scalar abs returns one fixed nan where numpy keeps the operand's payload;
     # every nan prints as "nan", so only nan-ness is compared there.
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def test_one_magnitude_behind_every_reported_z(monkeypatch):
+    """A VSWR row's vswr is (1 + m) / (1 - m) of the mag_gamma m it writes, bit for bit,
+    and ImpedanceProfile.magnitude is scalar abs of each point, bit for bit."""
+    rng = np.random.default_rng(13)
+    written = []
+    monkeypatch.setattr(cli, "_write_csv", lambda path, header, columns: written.append(columns))
+    for _ in range(20):
+        n = 2000
+        # Nearly lossless loads (R from 5e-11 to 5 ohm) put most |Gamma| near one, some at the cap.
+        r = 50.0 * 10.0 ** rng.uniform(-12, -1, n)
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-2, 5, n)
+        profile = ImpedanceProfile(frequencies_hz=np.linspace(1e8, 1e10, n), z=r + 1j * x)
+        want = np.array([abs(v) for v in profile.z.tolist()])
+        assert profile.magnitude.tobytes() == want.tobytes()
+
+        vswr = vswr_profile(profile, z0=50.0)
+        cli.write_vswr_csv(None, vswr)
+        bounded = ~vswr.unbounded
+        m, ratio = written[-1][3][bounded], written[-1][4][bounded]
+        assert m.size > n // 2
+        assert ratio.tobytes() == ((1.0 + m) / (1.0 - m)).tobytes()
 
 
 def traced_peak(write) -> int:
