@@ -54,6 +54,7 @@ from .radiation import (
 )
 from .report import num, report_text
 from .rssi import (
+    check_dbm_mapping,
     compare_datasets,
     dbm_levels,
     parse_at_csq_log,
@@ -61,6 +62,7 @@ from .rssi import (
 )
 from .svgplot import line_plot_svg
 from .touchstone import (
+    _BLOCK_ROWS,
     ENCODINGS,
     UNIT_SCALE,
     TouchstoneFormat,
@@ -193,10 +195,6 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 # CSV and report emission
 
 
-# Rows per ``%`` operation: bounds the text held at once, not a setting.
-_CSV_BLOCK_ROWS = 4096
-
-
 def _csv_text(column) -> list[str]:
     """A text column's cells as ``csv.writer`` writes them: quoted when they hold , " CR or LF."""
     cells = list(map(str, column))
@@ -212,7 +210,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length columns under ``header`` with CRLF rows.
 
     numpy arrays print as ``num`` does (``%.9g``); any other column is text.
-    Each block of rows is one ``%`` format over a flat tuple of its cells.
+    Each block of ``_BLOCK_ROWS`` rows is one ``%`` format over a flat tuple of its cells.
     """
     columns = [c if isinstance(c, np.ndarray) else _csv_text(c) for c in columns]
     k = len(columns)
@@ -220,8 +218,8 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     row = ",".join("%.9g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_csv_text(header)) + "\r\n")
-        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = [c[lo:lo + _CSV_BLOCK_ROWS] for c in columns]
+        for lo in range(0, n_rows, _BLOCK_ROWS):
+            block = [c[lo:lo + _BLOCK_ROWS] for c in columns]
             cells = [None] * (k * len(block[0]))
             for i, column in enumerate(block):
                 cells[i::k] = column.tolist() if isinstance(column, np.ndarray) else column
@@ -332,8 +330,8 @@ def _parse_input(path: str, parse, **kw):
 
 def _profile_from_file(path: str, cfg: RunConfig):
     net = _parse_input(path, parse_touchstone)
-    for warning in validate_passivity(net):
-        print(f"warning: {warning}", file=sys.stderr)
+    for line in validate_passivity(net):
+        warnings.warn(line)
     try:
         return impedance_profile(net, mode=cfg.fixture)
     except ValueError as exc:  # the fixture does not fit the file's port count
@@ -497,12 +495,10 @@ def _parse_claimed(pairs: list[str] | None) -> list[tuple[int, float]]:
     for item in pairs or []:
         code, _, dbm = item.partition(":")
         try:
-            code, dbm = int(code), float(dbm)
-        except ValueError:
-            raise InputError(f"--check-dbm needs CODE:DBM, got {item!r}") from None
-        if not (0 <= code <= 31 and math.isfinite(dbm)):
-            raise InputError(f"--check-dbm needs a code in 0..31 and a finite dBm, got {item!r}")
-        claimed.append((code, dbm))
+            claimed.append((int(code), float(dbm)))
+            check_dbm_mapping(claimed[-1:])
+        except ValueError as exc:
+            raise InputError(f"--check-dbm needs CODE:DBM, got {item!r}: {exc}") from None
     return claimed
 
 
@@ -688,7 +684,7 @@ def run_command(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             try:
                 return args.func(args, cfg)
-            finally:  # as the passivity lines are, with no source line
+            finally:  # the one place a warning is printed, with no source line
                 for warning in caught:
                     print(f"warning: {warning.message}", file=sys.stderr)
     except (InputError, OSError) as exc:

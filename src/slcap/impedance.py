@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._frozen import freeze_arrays
+from ._frozen import check_non_negative, check_positive, freeze_arrays
 from .touchstone import NetworkData, _check_sweep, _magnitude
 
 __all__ = [
@@ -177,12 +177,8 @@ class SeriesRlcModel:
     c_f: float
 
     def __post_init__(self):
-        if not (self.r_ohm >= 0 and math.isfinite(self.r_ohm)):
-            raise ValueError("r_ohm must be finite and non-negative")
-        if not (self.l_h >= 0 and math.isfinite(self.l_h)):
-            raise ValueError("l_h must be finite and non-negative")
-        if not (self.c_f > 0 and math.isfinite(self.c_f)):
-            raise ValueError("c_f must be finite and positive")
+        check_non_negative(r_ohm=self.r_ohm, l_h=self.l_h)
+        check_positive(c_f=self.c_f)
 
     @property
     def resonant_frequency_hz(self) -> float | None:
@@ -212,8 +208,7 @@ def synthesize_series_rlc(
     """
     if mode not in FIXTURE_MODES:
         raise ValueError(f"unknown fixture mode {mode!r}")
-    if not (z0 > 0 and math.isfinite(z0)):
-        raise ValueError("z0 must be positive and finite")
+    check_positive(z0=z0)
     f = np.asarray(frequencies_hz, dtype=float)
     z = model.impedance(f)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import freeze_arrays
+from ._frozen import check_non_negative, check_positive, freeze_arrays
 from .impedance import ImpedanceProfile, _reflection, impedance_at
 from .touchstone import _magnitude
 
@@ -88,16 +88,15 @@ class MatchingNetwork:
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
-        if not (self.f_design_hz > 0 and math.isfinite(self.f_design_hz)):
-            raise ValueError("design frequency must be positive and finite")
-        if self.series_r_ohm < 0:
-            raise ValueError("series resistance must be non-negative")
+        check_positive(f_design_hz=self.f_design_hz)
+        check_non_negative(series_r_ohm=self.series_r_ohm)
         for x, l_h, c_f, arm in (
             (self.series_x_ohm, self.series_l_h, self.series_c_f, "series"),
             (self.shunt_x_ohm, self.shunt_l_h, self.shunt_c_f, "shunt"),
         ):
             got = float(_reactance_of_element(l_h, c_f, self.f_design_hz))
-            if abs(got - x) > _ELEMENT_TOL * max(1.0, abs(x)):
+            # A nan or infinite reactance fails: the bound must hold, and be finite.
+            if not abs(got - x) <= _ELEMENT_TOL * max(1.0, abs(x)) < math.inf:
                 raise ValueError(
                     f"{arm} element value inconsistent with its design reactance"
                 )
@@ -158,8 +157,7 @@ def design_series_resistive_match(
     (dissipated in the resistor) for bandwidth.  If the antenna resistance
     already exceeds z0 the resistor clips to zero with a warning.
     """
-    if not (z0 > 0 and math.isfinite(z0)):
-        raise ValueError("z0 must be positive and finite")
+    check_positive(z0=z0)
     z_ant = impedance_at(profile, f_design_hz)
     r = z0 - z_ant.real
     if r < 0:
@@ -205,14 +203,11 @@ def design_l_section(
     (shunt arm on the load side, absorbing the load susceptance) is used.
     Both variants re-embed to exactly z0 at the design frequency.
     """
-    if not (z0 > 0 and math.isfinite(z0)):
-        raise ValueError("z0 must be positive and finite")
-    if not (f_design_hz > 0 and math.isfinite(f_design_hz)):
-        raise ValueError("design frequency must be positive and finite")
     z_load = complex(z_load)
     r = z_load.real
-    if r <= 0:
-        raise ValueError("load resistance must be positive")
+    check_positive(z0=z0, f_design_hz=f_design_hz, **{"Re(z_load)": r})
+    if not math.isfinite(z_load.imag):
+        raise ValueError("Im(z_load) must be finite")
     if abs(r - z0) <= 1e-12 * z0:
         raise ValueError("load resistance equals z0; the L-section degenerates")
 
@@ -275,8 +270,7 @@ def vswr_profile(profile: ImpedanceProfile, z0: float = 50.0) -> VswrProfile:
     VSWR = (1 + |Gamma|) / (1 - |Gamma|); points with |Gamma| within 1e-9 of
     unity (or beyond, for active data) are flagged and capped at 1e6.
     """
-    if not (z0 > 0 and math.isfinite(z0)):
-        raise ValueError("z0 must be positive and finite")
+    check_positive(z0=z0)
     gamma = _reflection(profile.z, z0)
     mag = _magnitude(gamma)
     unbounded = mag >= _GAMMA_CAP

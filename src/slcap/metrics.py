@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import freeze_arrays
+from ._frozen import check_positive, freeze_arrays
 from .impedance import ImpedanceProfile
 
 __all__ = [
@@ -82,8 +82,7 @@ def dissipation_factor_profile(
     profile: ImpedanceProfile, reactance_epsilon: float = REACTANCE_EPSILON
 ) -> CapacitorMetrics:
     """Compute DF / efficiency / Q pointwise; undefined points carry NaN."""
-    if reactance_epsilon <= 0:
-        raise ValueError("reactance_epsilon must be positive")
+    check_positive(reactance_epsilon=reactance_epsilon)
     r = profile.resistance
     x = profile.reactance
     defined = np.abs(x) >= reactance_epsilon  # False at NaN points too
@@ -153,8 +152,7 @@ def low_impedance_bandwidth(
     exceeds the threshold.  Invalid points break contiguity; an edge against
     an invalid neighbour falls on the last valid inside sample.
     """
-    if threshold_ohm <= 0:
-        raise ValueError("threshold must be positive")
+    check_positive(threshold_ohm=threshold_ohm)
     f = profile.frequencies_hz
     mag = np.where(profile.valid, profile.magnitude, np.inf)
     anchor = int(np.argmin(mag))
@@ -179,8 +177,7 @@ def metrics_report(
     """Full metrics summary: pointwise DF set plus resonance, bandwidth and fractions."""
     if profile.n_points < 2:
         raise ValueError("metrics report needs at least two sweep points")
-    if df_threshold <= 0:
-        raise ValueError("df_threshold must be positive")
+    check_positive(df_threshold=df_threshold)
 
     pointwise = dissipation_factor_profile(profile, reactance_epsilon=reactance_epsilon)
     n = profile.n_points

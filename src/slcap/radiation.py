@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._frozen import freeze_arrays
+from ._frozen import check_positive, freeze_arrays
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -71,8 +71,9 @@ class ElementModel:
         ax = np.asarray(self.axis, dtype=float)
         if ax.shape != (3,) or not np.all(np.isfinite(ax)) or np.dot(ax, ax) == 0:
             raise ValueError("axis must be a finite non-zero 3-vector")
-        if len(self.footprint_mm) != 3 or any(d <= 0 for d in self.footprint_mm):
-            raise ValueError("footprint dimensions must be positive")
+        if len(self.footprint_mm) != 3:
+            raise ValueError("footprint_mm must hold three dimensions")
+        check_positive(**{f"footprint_mm[{i}]": d for i, d in enumerate(self.footprint_mm)})
 
     @property
     def area_mm2(self) -> float:
@@ -104,8 +105,7 @@ class ArrayLayout:
             raise ValueError("weights must match the number of elements")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
             raise ValueError("positions and weights must be finite")
-        if not (self.frequency_hz > 0 and math.isfinite(self.frequency_hz)):
-            raise ValueError("frequency must be positive and finite")
+        check_positive(frequency_hz=self.frequency_hz)
         freeze_arrays(self, positions_m=p, weights=w)
 
     @property
@@ -225,8 +225,6 @@ class Lobe:
 
 
 def _steps(step_deg: float, span_deg: float) -> int:
-    if not step_deg > 0:
-        raise ValueError("grid steps must be positive")
     if span_deg / step_deg > MAX_GRID_CELLS:
         raise ValueError(
             f"a {step_deg:g} deg step exceeds the budget of {MAX_GRID_CELLS} grid cells"
@@ -240,10 +238,11 @@ def _steps(step_deg: float, span_deg: float) -> int:
 def grid_shape(theta_step_deg: float = 1.0, phi_step_deg: float = 1.0) -> tuple[int, int]:
     """Sizes of :func:`make_grid`'s theta and phi grids, checked without building them.
 
-    Raises ValueError for a step that is not positive or does not divide 180
-    (theta) or 360 (phi) degrees, for a single phi point, and for a grid of
-    over ``MAX_GRID_CELLS``.
+    Raises ValueError for a step that is not positive and finite or does not
+    divide 180 (theta) or 360 (phi) degrees, for a single phi point, and for a
+    grid of over ``MAX_GRID_CELLS``.
     """
+    check_positive(theta_step_deg=theta_step_deg, phi_step_deg=phi_step_deg)
     n_theta, n_phi = _steps(theta_step_deg, 180.0) + 1, _steps(phi_step_deg, 360.0)
     if n_phi < 2:
         raise ValueError("the phi step must be at most 180 degrees")
@@ -424,8 +423,8 @@ def gain(directivity_value: float, efficiency: float) -> float:
     """Realized gain = efficiency x directivity, efficiency in [0, 1]."""
     if not (0.0 <= efficiency <= 1.0):
         raise ValueError("efficiency must lie in [0, 1]")
-    if directivity_value < 1.0 - 1e-12:
-        raise ValueError("directivity below the isotropic floor")
+    if not 1.0 - 1e-12 <= directivity_value < math.inf:  # nan fails
+        raise ValueError("directivity_value must be finite and at least the isotropic floor 1")
     return efficiency * directivity_value
 
 
@@ -444,6 +443,8 @@ def polar_cut(pattern: RadiationPattern, phi_cut_rad: float = 0.0):
     half-plane (phi_cut + pi, nearest grid column each) the rest; the poles
     are not duplicated.  Returns (angles_rad, values) with angles increasing.
     """
+    if not math.isfinite(phi_cut_rad):
+        raise ValueError("phi_cut_rad must be finite")
     j0 = _nearest_phi_index(pattern.phi_rad, phi_cut_rad)
     j1 = _nearest_phi_index(pattern.phi_rad, phi_cut_rad + math.pi)
     theta = pattern.theta_rad
@@ -463,6 +464,8 @@ def find_lobes(
     classed main, the rest minor.  A uniform cut yields one lobe flagged
     degenerate.
     """
+    if not math.isfinite(main_threshold_db):
+        raise ValueError("main_threshold_db must be finite")
     angles, values = polar_cut(pattern, phi_cut_rad)
     m = values.size
     peak = float(values.max())

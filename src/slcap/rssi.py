@@ -20,6 +20,7 @@ from itertools import count
 
 import numpy as np
 
+from ._frozen import check_positive
 from .report import num, report_text
 
 __all__ = [
@@ -241,21 +242,23 @@ def dbm_levels(codes: np.ndarray) -> np.ndarray:
 def dbm_to_rssi(dbm: float) -> int:
     """Inverse of :func:`rssi_to_dbm`; the level must sit exactly on the grid."""
     code = (dbm + 113.0) / 2.0
-    rounded = round(code)
-    if abs(code - rounded) > 1e-9 or not 0 <= rounded <= 31:
+    if not -0.5 <= code <= 31.5 or abs(code - round(code)) > 1e-9:  # nan and inf fail
         raise ValueError(f"{dbm} dBm is not a valid rssi level")
-    return int(rounded)
+    return int(round(code))
 
 
 def check_dbm_mapping(claimed: list[tuple[int, float]]) -> list[str]:
     """Flag (rssi, dBm) pairs inconsistent with the affine GSM mapping.
 
     Returns one message per mismatching pair; an empty list means every
-    claimed level sits on dBm = -113 + 2 * rssi.
+    claimed level sits on dBm = -113 + 2 * rssi.  A code outside 0..31 or a
+    level that is not finite raises ValueError.
     """
     flags = []
     for code, dbm in claimed:
         expected = rssi_to_dbm(code)
+        if not math.isfinite(dbm):
+            raise ValueError(f"claimed level for rssi {code} must be finite, got {dbm}")
         if abs(dbm - expected) > 1e-9:
             flags.append(
                 f"rssi {code}: claimed {dbm:g} dBm inconsistent with affine map "
@@ -453,8 +456,7 @@ def compare_datasets(
 
     footprint = None
     if novel_area_mm2 is not None and baseline_area_mm2 is not None:
-        if novel_area_mm2 <= 0 or baseline_area_mm2 <= 0:
-            raise ValueError("antenna areas must be positive")
+        check_positive(novel_area_mm2=novel_area_mm2, baseline_area_mm2=baseline_area_mm2)
         footprint = baseline_area_mm2 / novel_area_mm2
 
     return ComparisonReport(

@@ -15,7 +15,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from ._frozen import freeze_arrays
+from ._frozen import check_positive, freeze_arrays
 
 __all__ = [
     "NetworkData",
@@ -68,8 +68,7 @@ class TouchstoneFormat:
             raise ValueError(f"unknown frequency unit {self.unit!r}")
         if self.encoding not in ENCODINGS:
             raise ValueError(f"unknown encoding {self.encoding!r}")
-        if not (self.z0_ohm > 0 and math.isfinite(self.z0_ohm)):
-            raise ValueError("reference impedance must be positive and finite")
+        check_positive(z0_ohm=self.z0_ohm)
 
 
 def _check_sweep(f: np.ndarray) -> None:
@@ -105,8 +104,7 @@ class NetworkData:
             raise ValueError("only 1- and 2-port networks are supported")
         if not np.all(np.isfinite(s)):
             raise ValueError("scattering parameters must be finite")
-        if not (self.z0_ohm > 0 and math.isfinite(self.z0_ohm)):
-            raise ValueError("reference impedance must be positive and finite")
+        check_positive(z0_ohm=self.z0_ohm)
         freeze_arrays(self, frequencies_hz=f, s=s)
 
     @property
@@ -404,12 +402,12 @@ def write_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None) -> s
     return "".join(iter_touchstone(net, fmt))
 
 
-def validate_passivity(net: NetworkData, tol: float = PASSIVITY_TOL) -> list[str]:
-    """Return a warning string per scattering entry with magnitude above 1 + tol."""
+def validate_passivity(net: NetworkData) -> list[str]:
+    """Return a warning string per scattering entry with magnitude above 1 + ``PASSIVITY_TOL``."""
     mags = _magnitude(net.s)
     # np.nonzero yields (point, row, column) in C order: by point, then port pair.
     return [
         f"|S{i + 1}{j + 1}| = {mags[k, i, j]:.9g} exceeds 1 "
         f"at {net.frequencies_hz[k]:.9g} Hz"
-        for k, i, j in zip(*np.nonzero(mags > 1.0 + tol))
+        for k, i, j in zip(*np.nonzero(mags > 1.0 + PASSIVITY_TOL))
     ]

@@ -530,6 +530,29 @@ class TestConfigAndGlobalFlags:
         assert proc.stderr == ("warning: antenna resistance 60 ohm exceeds z0 = 50 ohm; "
                                "series resistor clipped to zero\n")
 
+    def test_passivity_lines_then_library_warnings(self, tmp_path):
+        """Every warning goes through one channel: passivity lines first, in file order."""
+        import os
+        import subprocess
+        import sys
+
+        s2p = tmp_path / "active.s2p"
+        s2p.write_text("# GHz S MA R 50\n1 1.5 0 0.5 0 0.5 0 1.5 0\n3 0.1 0 1.2 0 1.2 0 0.1 0\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "slcap", "--out-dir", str(tmp_path / "out"),
+             "analyze", str(s2p)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "warning: |S11| = 1.5 exceeds 1 at 1e+09 Hz\n"
+            "warning: |S22| = 1.5 exceeds 1 at 1e+09 Hz\n"
+            "warning: |S12| = 1.2 exceeds 1 at 3e+09 Hz\n"
+            "warning: |S21| = 1.2 exceeds 1 at 3e+09 Hz\n"
+            "warning: negative resistance extracted from passive data; check the fixture mode\n"
+        )
+
     def test_cli_import_pulls_in_no_scipy(self):
         import os
         import subprocess
@@ -577,6 +600,16 @@ BAD_INPUTS = {
         {"one.s1p": "# Hz S RI R 50\n1 0.1 0\n"},
         ["analyze", "@one.s1p"], 2, "one.s1p: series-through extraction requires a 2-port",
     ),
+    # JSON's NaN and Infinity parse as floats; a footprint must still be positive and finite.
+    **{
+        f"footprint_{value}": (
+            {"layout.json": json.dumps(
+                {**LAYOUT, "element": {"footprint_mm": [1, float(value), 1]}})},
+            ["pattern", "--layout", "@layout.json"], 2,
+            "layout.json: footprint_mm[1] must be positive and finite",
+        )
+        for value in ("nan", "inf")
+    },
     "weight_pair_not_numeric": (
         {"layout.json": json.dumps({**LAYOUT, "weights": [["a", 1], 1]})},
         ["pattern", "--layout", "@layout.json"], 2, "layout.json",

@@ -81,7 +81,7 @@ def random_text(rng, n):
     return ["".join(rng.choice(pieces, rng.integers(1, 4))) for _ in range(n)]
 
 
-ROW_COUNTS = [0, 1, cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS + 1]
+ROW_COUNTS = [0, 1, touchstone._BLOCK_ROWS, touchstone._BLOCK_ROWS + 1]
 
 
 @pytest.mark.parametrize("n_rows", ROW_COUNTS)
