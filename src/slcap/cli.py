@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._cpus import write_blocks
 from .impedance import (
     FIXTURE_MODES,
     REFLECTION,
@@ -67,7 +68,7 @@ from .touchstone import (
     UNIT_SCALE,
     TouchstoneFormat,
     _magnitude,
-    iter_touchstone,
+    _touchstone_blocks,
     parse_touchstone,
     validate_passivity,
     write_touchstone,  # unused here; the per-layer trace (bench/layers.py) wraps it by name
@@ -257,17 +258,29 @@ def write_pattern_csv(path: Path, pattern) -> None:
     phi is printed once: one row template holds every phi's text, each theta
     row fills in its theta text, then ``u`` and ``u_db`` with one ``%`` format.
     ``u_db`` is one call over the grid: per row, SIMD kernels could round cells apart.
+    The theta rows are the blocks of ``write_blocks``, formatted on every usable CPU.
     """
     u, u_db = pattern.u, _db_below_peak(pattern.u)
     # Each cell's text after its theta: ",<phi>,%.9g,%.9g\r\n" (no %.9g text holds a %).
     tails = ["," + "%.9g" % p + ",%.9g,%.9g\r\n" for p in np.degrees(pattern.phi_rad).tolist()]
+    thetas = ["%.9g" % t for t in np.degrees(pattern.theta_rad).tolist()]
     cells = np.empty((u.shape[1], 2))
+
+    def row(i: int) -> str:
+        cells[:, 0], cells[:, 1] = u[i], u_db[i]
+        return (thetas[i] + thetas[i].join(tails)) % tuple(cells.ravel().tolist())
+
     with open(path, "w", newline="") as fh:
         fh.write("theta_deg,phi_deg,u,u_db\r\n")
-        for i, theta in enumerate(np.degrees(pattern.theta_rad).tolist()):
-            theta = "%.9g" % theta
-            cells[:, 0], cells[:, 1] = u[i], u_db[i]
-            fh.write((theta + theta.join(tails)) % tuple(cells.ravel().tolist()))
+        write_blocks(fh, row, len(thetas))
+
+
+def write_touchstone_file(path: Path, net, fmt: TouchstoneFormat) -> None:
+    """Write ``write_touchstone(net, fmt)``'s text, its blocks formatted on every usable CPU."""
+    option, block, n_blocks = _touchstone_blocks(net, fmt)
+    with open(path, "w") as fh:
+        fh.write(option)
+        write_blocks(fh, block, n_blocks)
 
 
 def write_cut_csv(path: Path, angles_rad: np.ndarray, values: np.ndarray) -> None:
@@ -575,8 +588,7 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     fmt = TouchstoneFormat(unit=args.unit, encoding=args.encoding, z0_ohm=cfg.z0_ohm)
     default_name = "synth.s1p" if cfg.fixture == REFLECTION else "synth.s2p"
     out_path = Path(cfg.out_dir) / (args.out or default_name)
-    with open(out_path, "w") as fh:
-        fh.writelines(iter_touchstone(net, fmt))
+    write_touchstone_file(out_path, net, fmt)
     rows = [
         ("written", str(out_path)),
         ("fixture", cfg.fixture),
@@ -682,6 +694,9 @@ def run_command(argv: list[str] | None = None) -> int:
         cfg = _effective_config(args)
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         with warnings.catch_warnings(record=True) as caught:
+            # Every slcap warning is a UserWarning: each is recorded, whatever the
+            # interpreter's filters (-W error, -W ignore, once per source line).
+            warnings.simplefilter("always", UserWarning)
             try:
                 return args.func(args, cfg)
             finally:  # the one place a warning is printed, with no source line

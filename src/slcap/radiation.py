@@ -17,13 +17,12 @@ order.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._cpus import _run_blocks
 from ._frozen import check_positive, freeze_arrays
 
 __all__ = [
@@ -259,46 +258,6 @@ def make_grid(theta_step_deg: float = 1.0, phi_step_deg: float = 1.0):
     theta = np.linspace(0.0, math.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     return theta, phi
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_blocks(block, n_blocks: int) -> None:
-    """Call ``block(i)`` once for each i < ``n_blocks``, on every usable CPU.
-
-    The caller works too, beside one thread per further CPU, each taking the next
-    index from a shared counter; on one CPU no thread starts.  The first exception
-    raised in any call stops the remaining work and is re-raised here, in the
-    calling thread, once every thread has ended.
-    """
-    indices = iter(range(n_blocks))
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def work():
-        try:
-            while not errors:
-                with lock:
-                    i = next(indices, None)
-                if i is None:
-                    return
-                block(i)
-        except BaseException as exc:  # re-raised in the calling thread below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work) for _ in range(min(_usable_cpus(), n_blocks) - 1)]
-    for thread in threads:
-        thread.start()
-    work()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _pattern_rows(u, layout, sin_t, cos_t, cos_p, sin_p) -> None:

@@ -374,6 +374,28 @@ def _block_text(freqs: np.ndarray, z: np.ndarray, encoding: str) -> str:
     return (row * len(freqs)) % tuple(chain.from_iterable(zip(*cells)))
 
 
+def _touchstone_blocks(net: NetworkData, fmt: TouchstoneFormat | None = None):
+    """``net`` as a Touchstone v1 document in parts: (option line, ``block``, block count).
+
+    ``block(i)`` formats the rows ``i * _BLOCK_ROWS`` up to ``(i + 1) * _BLOCK_ROWS``,
+    reordering only that part of ``net.s``, so the blocks can be formatted one at a
+    time, in any order or apart.
+    """
+    if fmt is None:
+        fmt = TouchstoneFormat(z0_ohm=net.z0_ohm)
+    scale = UNIT_SCALE[fmt.unit]
+    rows = _BLOCK_ROWS
+
+    def block(i: int) -> str:
+        lo, hi = i * rows, (i + 1) * rows
+        # v1 rows list S11 S21 S12 S22: column-major, hence the transpose.
+        z = net.s[lo:hi].transpose(0, 2, 1).reshape(-1, net.n_ports ** 2)
+        return _block_text(net.frequencies_hz[lo:hi] / scale, z, fmt.encoding)
+
+    option = f"# {_UNIT_DISPLAY[fmt.unit]} S {fmt.encoding.upper()} R {_fmt_z0(fmt.z0_ohm)}\n"
+    return option, block, -(-net.n_points // rows)
+
+
 def iter_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None):
     """Yield ``net`` as a Touchstone v1 document: the option line, then each block's text.
 
@@ -382,15 +404,10 @@ def iter_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None):
     part of ``net.s`` reordered, only when it is asked for, so writing the
     yielded texts to a file holds one block's text at a time.
     """
-    if fmt is None:
-        fmt = TouchstoneFormat(z0_ohm=net.z0_ohm)
-    scale = UNIT_SCALE[fmt.unit]
-    yield f"# {_UNIT_DISPLAY[fmt.unit]} S {fmt.encoding.upper()} R {_fmt_z0(fmt.z0_ohm)}\n"
-    for lo in range(0, net.n_points, _BLOCK_ROWS):
-        hi = lo + _BLOCK_ROWS
-        # v1 rows list S11 S21 S12 S22: column-major, hence the transpose.
-        z = net.s[lo:hi].transpose(0, 2, 1).reshape(-1, net.n_ports ** 2)
-        yield _block_text(net.frequencies_hz[lo:hi] / scale, z, fmt.encoding)
+    option, block, n_blocks = _touchstone_blocks(net, fmt)
+    yield option
+    for i in range(n_blocks):
+        yield block(i)
 
 
 def write_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None) -> str:

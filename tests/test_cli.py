@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -530,8 +531,15 @@ class TestConfigAndGlobalFlags:
         assert proc.stderr == ("warning: antenna resistance 60 ohm exceeds z0 = 50 ohm; "
                                "series resistor clipped to zero\n")
 
-    def test_passivity_lines_then_library_warnings(self, tmp_path):
-        """Every warning goes through one channel: passivity lines first, in file order."""
+    PASSIVITY_STDERR = (
+        "warning: |S11| = 1.5 exceeds 1 at 1e+09 Hz\n"
+        "warning: |S22| = 1.5 exceeds 1 at 1e+09 Hz\n"
+        "warning: |S12| = 1.2 exceeds 1 at 3e+09 Hz\n"
+        "warning: |S21| = 1.2 exceeds 1 at 3e+09 Hz\n"
+        "warning: negative resistance extracted from passive data; check the fixture mode\n"
+    )
+
+    def run_active_two_port(self, tmp_path, flags=()):
         import os
         import subprocess
         import sys
@@ -539,31 +547,59 @@ class TestConfigAndGlobalFlags:
         s2p = tmp_path / "active.s2p"
         s2p.write_text("# GHz S MA R 50\n1 1.5 0 0.5 0 0.5 0 1.5 0\n3 0.1 0 1.2 0 1.2 0 0.1 0\n")
         src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", "slcap", "--out-dir", str(tmp_path / "out"),
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "slcap", "--out-dir", str(tmp_path / "out"),
              "analyze", str(s2p)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
-        assert proc.returncode == 0
-        assert proc.stderr == (
-            "warning: |S11| = 1.5 exceeds 1 at 1e+09 Hz\n"
-            "warning: |S22| = 1.5 exceeds 1 at 1e+09 Hz\n"
-            "warning: |S12| = 1.2 exceeds 1 at 3e+09 Hz\n"
-            "warning: |S21| = 1.2 exceeds 1 at 3e+09 Hz\n"
-            "warning: negative resistance extracted from passive data; check the fixture mode\n"
-        )
 
-    def test_cli_import_pulls_in_no_scipy(self):
+    def test_passivity_lines_then_library_warnings(self, tmp_path):
+        """Every warning goes through one channel: passivity lines first, in file order."""
+        proc = self.run_active_two_port(tmp_path)
+        assert proc.returncode == 0
+        assert proc.stderr == self.PASSIVITY_STDERR
+
+    # -W error would raise the first warning as an exception, and -W ignore
+    # would drop them all: neither filter reaches slcap's warnings.
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_interpreter_warning_filters_leave_the_lines(self, tmp_path, action):
+        proc = self.run_active_two_port(tmp_path, ["-W", action])
+        assert proc.returncode == 0
+        assert proc.stderr == self.PASSIVITY_STDERR
+
+    def test_repeated_warning_prints_each_time(self, tmp_path, capsys, monkeypatch):
+        # Under the default filters, a repeat from one source line would print once.
+        def twice(args, cfg):
+            for _ in range(2):
+                warnings.warn("same text")
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_synth", twice)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            assert cli.run_command(["--out-dir", str(tmp_path), *SYNTH, "--sweep", "1:2:2"]) == 0
+        assert capsys.readouterr().err == "warning: same text\nwarning: same text\n"
+
+    def test_cli_import_pulls_in_no_scipy(self, tmp_path):
         import os
         import subprocess
         import sys
 
         src = Path(__file__).resolve().parents[1] / "src"
-        # Nor concurrent.futures: the pattern's threads come from threading alone.
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps(LAYOUT))
+        # Nor a process pool: the pattern's threads come from threading alone, and
+        # the writers' forked processes from os.fork.  A synth of 3 blocks and a
+        # pattern of 181 theta rows fork on a machine with more than one CPU.
         check = (
-            "import slcap.cli, sys; "
+            "import sys; from slcap.cli import run_command; "
+            f"assert run_command(['--out-dir', {str(tmp_path)!r}, 'synth', '--r', '1', "
+            "'--l', '1e-9', '--c', '1e-12', '--sweep', '1e8:2e10:12289']) == 0; "
+            f"assert run_command(['--out-dir', {str(tmp_path)!r}, 'pattern', "
+            f"'--layout', {str(layout)!r}]) == 0; "
             "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules); "
-            "assert 'concurrent.futures' not in sys.modules"
+            "loaded = {'multiprocessing', 'concurrent.futures', 'subprocess'} & set(sys.modules); "
+            "assert not loaded, loaded"
         )
         proc = subprocess.run(
             [sys.executable, "-c", check],

@@ -390,6 +390,39 @@ def test_pattern_hashes_hold_on_one_cpu():
     assert hashes == {name: GOLDEN[name] for name in names}
 
 
+
+# The synth file is written on every CPU the process may use once it has more
+# than one block; 3 x 4096 + 1 points make four, the last of one row.
+SYNTH_RUNS = {
+    "synth.s1p": ["--fixture", "reflection", "synth", "--encoding", "ri"],
+    "synth.s2p": ["synth", "--encoding", "db"],
+}
+SYNTH_MODEL = ["--r", "1.5", "--l", "2e-9", "--c", "1e-12", "--sweep", "1e8:2e10:12289"]
+ONE_CPU_SYNTH = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from slcap.cli import run_command
+assert len(os.sched_getaffinity(0)) == 1
+sys.exit(run_command(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+@pytest.mark.parametrize("name", sorted(SYNTH_RUNS))
+def test_synth_bytes_hold_on_one_cpu(tmp_path, name):
+    argv = [*SYNTH_RUNS[name], *SYNTH_MODEL]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    pinned = tmp_path / "pinned"
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU_SYNTH, "--out-dir", str(pinned), *argv],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_command(["--out-dir", str(tmp_path / "free"), *argv]) == 0
+    written = (tmp_path / "free" / name).read_bytes()
+    assert written.count(b"\n") == 1 + 12289
+    assert written == (pinned / name).read_bytes()
+
 if __name__ == "__main__":
     import tempfile
 

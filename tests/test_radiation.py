@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from slcap import radiation
+from slcap import _cpus, radiation
 from slcap import (
     HERTZIAN_DIPOLE,
     ISOTROPIC,
@@ -465,7 +465,7 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("grid, chunk", [((90.0, 10.0), 16), ((90.0, 10.0), 1),
                                              ((2.0, 5.0), 7)])
     def test_any_cpu_count(self, monkeypatch, cpus, grid, chunk):
-        monkeypatch.setattr(radiation, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_cpus, "_usable_cpus", lambda: cpus)
         theta, phi = make_grid(*grid)
         n_blocks = -(-theta.size // chunk)
         original, threads, row_counts = radiation._pattern_rows, set(), []
@@ -501,7 +501,7 @@ class TestBlockFailures:
         return seen
 
     def test_worker_failure(self, monkeypatch, capfd, hooked):
-        monkeypatch.setattr(radiation, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(_cpus, "_usable_cpus", lambda: 4)
         original, failed = radiation._pattern_rows, threading.Event()
 
         def rows(*args):
@@ -521,7 +521,7 @@ class TestBlockFailures:
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_caller_failure(self, monkeypatch, capfd, hooked, cpus):
-        monkeypatch.setattr(radiation, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_cpus, "_usable_cpus", lambda: cpus)
         original, calls, failed = radiation._pattern_rows, [], threading.Event()
 
         def rows(*args):

@@ -10,13 +10,17 @@ with one ``%.2f`` pair formatted per point.
 """
 import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from slcap import cli, touchstone
+from slcap import _cpus, cli, touchstone
 from slcap.impedance import FIXTURE_MODES, ImpedanceProfile, SeriesRlcModel, synthesize_series_rlc
 from slcap.matching import vswr_profile
 from slcap.report import num
@@ -30,6 +34,8 @@ from slcap.touchstone import (
     parse_touchstone,
     write_touchstone,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def reference_csv(path, header, columns):
@@ -382,6 +388,159 @@ def test_pattern_csv_holds_under_two_grids(tmp_path):
     peak = traced_peak(lambda: cli.write_pattern_csv(tmp_path / "p.csv", pattern))
     # The full-grid writer held four grid-sized columns; this one holds u_db and its temporary.
     assert peak < 2 * pattern.u.nbytes + 1e6
+
+
+# ---------------------------------------------------------------------------
+# Block writer on every CPU: the Touchstone file and the pattern CSV
+
+# 1 CPU runs the plain loop; 8 gives fewer blocks than CPUs for most sizes below.
+CPU_COUNTS = [1, 2, 3, 8]
+
+
+@pytest.fixture
+def cpus(monkeypatch, request):
+    monkeypatch.setattr(_cpus, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS, indirect=True)
+@pytest.mark.parametrize("n_points", [1, 7, 8, 22])
+@pytest.mark.parametrize("n_ports", [1, 2])
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_touchstone_file_on_any_cpu_count(tmp_path, monkeypatch, cpus, n_points, n_ports,
+                                          encoding):
+    monkeypatch.setattr(touchstone, "_BLOCK_ROWS", 7)
+    net = random_network(np.random.default_rng([n_points, n_ports, cpus]), n_points, n_ports)
+    fmt = TouchstoneFormat(unit="mhz", encoding=encoding)
+    cli.write_touchstone_file(tmp_path / "s.snp", net, fmt)
+    text = (tmp_path / "s.snp").read_text()
+    assert text == "".join(iter_touchstone(net, fmt))
+    assert text == reference_touchstone(net, fmt)
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS, indirect=True)
+@pytest.mark.parametrize("fixture,encoding", [("reflection", "ri"), ("series-through", "db")])
+def test_synth_command_on_any_cpu_count(tmp_path, monkeypatch, cpus, fixture, encoding):
+    monkeypatch.setattr(touchstone, "_BLOCK_ROWS", 7)
+    argv = ["--out-dir", str(tmp_path), "--fixture", fixture, "synth", "--r", "1.5",
+            "--l", "2e-9", "--c", "1e-12", "--sweep", "1e8:2e10:22", "--encoding", encoding,
+            "--out", "s.snp"]
+    assert cli.run_command(argv) == 0
+    model = SeriesRlcModel(r_ohm=1.5, l_h=2e-9, c_f=1e-12)
+    net = synthesize_series_rlc(model, np.linspace(1e8, 2e10, 22), mode=fixture)
+    fmt = TouchstoneFormat(encoding=encoding)
+    assert (tmp_path / "s.snp").read_text() == reference_touchstone(net, fmt)
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS, indirect=True)
+@pytest.mark.parametrize("n_theta", [2, 3, 91])
+def test_pattern_csv_on_any_cpu_count(tmp_path, cpus, n_theta):
+    theta_deg, phi_deg = np.linspace(0.0, 180.0, n_theta), np.arange(36) * 10.0
+    pattern = stand_in_pattern(np.random.default_rng([n_theta, cpus]), theta_deg, phi_deg, 0.0)
+    cli.write_pattern_csv(tmp_path / "new.csv", pattern)
+    reference_pattern_csv(tmp_path / "ref.csv", pattern)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def numbered_block(i):
+    return f"block {i}\n"
+
+
+def serial_text(n_blocks):
+    return "".join(map(numbered_block, range(n_blocks)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def write_numbered(path, block, n_blocks):
+    with open(path, "w") as fh:
+        fh.write("head\n")
+        _cpus.write_blocks(fh, block, n_blocks)
+    return path.read_text()
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8], indirect=True)
+def test_caller_formats_only_the_first_range(tmp_path, cpus):
+    calls = []  # a child's calls append to the child's copy
+
+    def block(i):
+        calls.append(i)
+        return numbered_block(i)
+
+    assert write_numbered(tmp_path / "out.txt", block, 8) == "head\n" + serial_text(8)
+    assert calls == list(range(8 // cpus))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8], indirect=True)
+@pytest.mark.parametrize("bad", [0, 5, 7])
+def test_block_failure_is_raised_by_the_caller(tmp_path, cpus, bad):
+    # Block 0 is in the caller's range; 5 and 7 are in a child's for every count.
+    def block(i):
+        if i == bad:
+            raise ValueError(f"cannot format block {i}")
+        return numbered_block(i)
+
+    with pytest.raises(ValueError, match=f"^cannot format block {bad}$"):
+        write_numbered(tmp_path / "out.txt", block, 8)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8], indirect=True)
+def test_failed_child_range_is_written_by_the_caller(tmp_path, cpus):
+    caller = os.getpid()
+
+    def block(i):
+        if os.getpid() != caller:
+            raise MemoryError("only in a child")
+        return numbered_block(i)
+
+    assert write_numbered(tmp_path / "out.txt", block, 8) == "head\n" + serial_text(8)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3], indirect=True)
+def test_no_fork_or_spill_file_writes_every_range_in_the_caller(tmp_path, monkeypatch, cpus):
+    def refused(*args, **kwargs):
+        raise OSError("refused")
+
+    for name, target in (("fork", _cpus.os), ("TemporaryFile", _cpus.tempfile)):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, refused)
+            text = write_numbered(tmp_path / "out.txt", numbered_block, 8)
+        assert text == "head\n" + serial_text(8)
+    assert_no_child_left()
+
+
+# Four CPUs whatever the machine has, so the ranges after the first are forked.
+FORKED_WRITE = """
+import os, sys, tempfile
+from slcap import _cpus
+_cpus._usable_cpus = lambda: 4
+assert tempfile.gettempdir() == os.environ["TMPDIR"]
+print("printed before the write")  # a pipe: block-buffered, not flushed
+with open(sys.argv[1], "w") as fh:
+    _cpus.write_blocks(fh, lambda i: f"block {i}\\n", 8)
+print("printed after")
+"""
+
+
+def test_forked_write_leaves_no_output_twice_and_no_file(tmp_path):
+    spill_dir = tmp_path / "tmp"
+    spill_dir.mkdir()
+    env = {**os.environ, "TMPDIR": str(spill_dir),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", FORKED_WRITE, str(tmp_path / "out.txt")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "printed before the write\nprinted after\n"
+    assert proc.stderr == ""
+    assert (tmp_path / "out.txt").read_text() == serial_text(8)
+    assert list(spill_dir.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
