@@ -68,10 +68,10 @@ from .touchstone import (
     UNIT_SCALE,
     TouchstoneFormat,
     _magnitude,
-    _touchstone_blocks,
     parse_touchstone,
     validate_passivity,
     write_touchstone,  # unused here; the per-layer trace (bench/layers.py) wraps it by name
+    write_touchstone_file,
 )
 
 __all__ = ["RunConfig", "InputError", "load_config", "run_command", "main"]
@@ -258,7 +258,7 @@ def write_pattern_csv(path: Path, pattern) -> None:
     phi is printed once: one row template holds every phi's text, each theta
     row fills in its theta text, then ``u`` and ``u_db`` with one ``%`` format.
     ``u_db`` is one call over the grid: per row, SIMD kernels could round cells apart.
-    The theta rows are the blocks of ``write_blocks``, formatted on every usable CPU.
+    The theta rows are the blocks of ``write_blocks``, so they may be formatted on several CPUs.
     """
     u, u_db = pattern.u, _db_below_peak(pattern.u)
     # Each cell's text after its theta: ",<phi>,%.9g,%.9g\r\n" (no %.9g text holds a %).
@@ -273,14 +273,6 @@ def write_pattern_csv(path: Path, pattern) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("theta_deg,phi_deg,u,u_db\r\n")
         write_blocks(fh, row, len(thetas))
-
-
-def write_touchstone_file(path: Path, net, fmt: TouchstoneFormat) -> None:
-    """Write ``write_touchstone(net, fmt)``'s text, its blocks formatted on every usable CPU."""
-    option, block, n_blocks = _touchstone_blocks(net, fmt)
-    with open(path, "w") as fh:
-        fh.write(option)
-        write_blocks(fh, block, n_blocks)
 
 
 def write_cut_csv(path: Path, angles_rad: np.ndarray, values: np.ndarray) -> None:

@@ -15,6 +15,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from ._cpus import write_blocks
 from ._frozen import check_positive, freeze_arrays
 
 __all__ = [
@@ -408,6 +409,14 @@ def iter_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None):
     yield option
     for i in range(n_blocks):
         yield block(i)
+
+
+def write_touchstone_file(path, net: NetworkData, fmt: TouchstoneFormat | None = None) -> None:
+    """Write ``iter_touchstone(net, fmt)``'s text to ``path``, the blocks by ``write_blocks``."""
+    option, block, n_blocks = _touchstone_blocks(net, fmt)
+    with open(path, "w") as fh:
+        fh.write(option)
+        write_blocks(fh, block, n_blocks)
 
 
 def write_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None) -> str:

@@ -589,10 +589,12 @@ class TestConfigAndGlobalFlags:
         layout = tmp_path / "layout.json"
         layout.write_text(json.dumps(LAYOUT))
         # Nor a process pool: the pattern's threads come from threading alone, and
-        # the writers' forked processes from os.fork.  A synth of 3 blocks and a
-        # pattern of 181 theta rows fork on a machine with more than one CPU.
+        # the writers' forked processes from os.fork.  With any work paying for a
+        # child, a synth of 3 blocks and a pattern of 181 theta rows fork on a
+        # machine with more than one CPU.
         check = (
-            "import sys; from slcap.cli import run_command; "
+            "import sys; from slcap import _cpus; from slcap.cli import run_command; "
+            "_cpus._CHILD_S = 1e-15; "
             f"assert run_command(['--out-dir', {str(tmp_path)!r}, 'synth', '--r', '1', "
             "'--l', '1e-9', '--c', '1e-12', '--sweep', '1e8:2e10:12289']) == 0; "
             f"assert run_command(['--out-dir', {str(tmp_path)!r}, 'pattern', "

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from slcap import _cpus
 from slcap.cli import run_command
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -390,9 +391,9 @@ def test_pattern_hashes_hold_on_one_cpu():
     assert hashes == {name: GOLDEN[name] for name in names}
 
 
-
 # The synth file is written on every CPU the process may use once it has more
-# than one block; 3 x 4096 + 1 points make four, the last of one row.
+# than one block and its work pays for a child; 3 x 4096 + 1 points make four
+# blocks, the last of one row, and the unpinned run counts any work as paying.
 SYNTH_RUNS = {
     "synth.s1p": ["--fixture", "reflection", "synth", "--encoding", "ri"],
     "synth.s2p": ["synth", "--encoding", "db"],
@@ -409,7 +410,8 @@ sys.exit(run_command(sys.argv[1:]))
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
 @pytest.mark.parametrize("name", sorted(SYNTH_RUNS))
-def test_synth_bytes_hold_on_one_cpu(tmp_path, name):
+def test_synth_bytes_hold_on_one_cpu(tmp_path, monkeypatch, name):
+    monkeypatch.setattr(_cpus, "_CHILD_S", 1e-15)
     argv = [*SYNTH_RUNS[name], *SYNTH_MODEL]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
@@ -422,6 +424,7 @@ def test_synth_bytes_hold_on_one_cpu(tmp_path, name):
     written = (tmp_path / "free" / name).read_bytes()
     assert written.count(b"\n") == 1 + 12289
     assert written == (pinned / name).read_bytes()
+
 
 if __name__ == "__main__":
     import tempfile

@@ -399,6 +399,8 @@ CPU_COUNTS = [1, 2, 3, 8]
 
 @pytest.fixture
 def cpus(monkeypatch, request):
+    # Any work pays for a child, so even these small texts are split over every CPU.
+    monkeypatch.setattr(_cpus, "_CHILD_S", 1e-15)
     monkeypatch.setattr(_cpus, "_usable_cpus", lambda: request.param)
     return request.param
 
@@ -412,7 +414,7 @@ def test_touchstone_file_on_any_cpu_count(tmp_path, monkeypatch, cpus, n_points,
     monkeypatch.setattr(touchstone, "_BLOCK_ROWS", 7)
     net = random_network(np.random.default_rng([n_points, n_ports, cpus]), n_points, n_ports)
     fmt = TouchstoneFormat(unit="mhz", encoding=encoding)
-    cli.write_touchstone_file(tmp_path / "s.snp", net, fmt)
+    touchstone.write_touchstone_file(tmp_path / "s.snp", net, fmt)
     text = (tmp_path / "s.snp").read_text()
     assert text == "".join(iter_touchstone(net, fmt))
     assert text == reference_touchstone(net, fmt)
@@ -475,6 +477,47 @@ def test_caller_formats_only_the_first_range(tmp_path, cpus):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("cpus", [8], indirect=True)
+@pytest.mark.parametrize("work_s,n_ranges", [(63, 7), (49, 7), (48, 6), (4, 2), (3, 1), (0, 1)])
+def test_ranges_are_no_more_than_the_work_pays_for(tmp_path, monkeypatch, cpus, work_s, n_ranges):
+    # A child costs 1 s of a clock that only block 0 moves, by an eighth of the work:
+    # n ranges pay while n * n <= work_s.
+    monkeypatch.setattr(_cpus, "_CHILD_S", 1.0)
+    clock = [0.0]
+    monkeypatch.setattr(_cpus, "perf_counter", lambda: clock[0])
+    calls = []
+
+    def block(i):
+        calls.append(i)
+        clock[0] += work_s / 8 if i == 0 else 0.0
+        return numbered_block(i)
+
+    text = write_numbered(tmp_path / "out.txt", block, 8)
+    assert text == "head\n" + serial_text(8)
+    assert calls == list(range(8 // n_ranges))
+    assert_no_child_left()
+
+
+def test_small_pattern_on_many_cpus_forks_few_children(tmp_path, monkeypatch):
+    # A 1-degree grid on 180 CPUs: a child per theta row would cost more than its row.
+    monkeypatch.setattr(_cpus, "_usable_cpus", lambda: 180)
+    forks = []
+    fork = _cpus._fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(_cpus, "_fork", counted_fork)
+    theta_deg, phi_deg = np.arange(181.0), np.arange(361.0)
+    pattern = stand_in_pattern(np.random.default_rng(181), theta_deg, phi_deg, 0.0)
+    cli.write_pattern_csv(tmp_path / "new.csv", pattern)
+    reference_pattern_csv(tmp_path / "ref.csv", pattern)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert len(forks) < 10
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("cpus", [2, 3, 8], indirect=True)
 @pytest.mark.parametrize("bad", [0, 5, 7])
 def test_block_failure_is_raised_by_the_caller(tmp_path, cpus, bad):
@@ -515,11 +558,13 @@ def test_no_fork_or_spill_file_writes_every_range_in_the_caller(tmp_path, monkey
     assert_no_child_left()
 
 
-# Four CPUs whatever the machine has, so the ranges after the first are forked.
+# Four CPUs whatever the machine has, and any work pays for a child, so the
+# ranges after the first are forked.
 FORKED_WRITE = """
 import os, sys, tempfile
 from slcap import _cpus
 _cpus._usable_cpus = lambda: 4
+_cpus._CHILD_S = 1e-15
 assert tempfile.gettempdir() == os.environ["TMPDIR"]
 print("printed before the write")  # a pipe: block-buffered, not flushed
 with open(sys.argv[1], "w") as fh:
