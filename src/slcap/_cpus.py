@@ -1,8 +1,10 @@
 """Independent blocks of work spread over the CPUs in the affinity set, with no setting.
 
-``_run_blocks`` runs numeric blocks on threads (numpy releases the GIL);
-``write_blocks`` formats text blocks in forked processes (formatting holds it).
-Both give the same result as a plain loop over the blocks, at any CPU count.
+``_run_blocks`` runs numeric blocks on threads (numpy releases the GIL).
+``write_blocks`` writes every table file slcap writes, each CSV, ``pattern.csv``
+and the Touchstone file, formatting its blocks in forked processes (formatting
+holds the GIL).  Both give the same result as a plain loop over the blocks, at
+any CPU count.
 """
 from __future__ import annotations
 
@@ -72,16 +74,21 @@ def _fork() -> int:
 # a 1-degree pattern grid (57 ms to format) and faster on a 0.8-degree one (89 ms).
 _CHILD_S = 0.02
 
+# Rows per block of a table's text: bounds the text held at once, not a setting.
+# The writers read it at each call.
+BLOCK_ROWS = 4096
 
-def write_blocks(fh, block, n_blocks: int) -> None:
-    """Write the texts ``block(0)``, ..., ``block(n_blocks - 1)`` to the text file ``fh``.
 
-    The blocks are split into contiguous ranges, at most one per usable CPU.
-    The caller formats the first range straight into ``fh``; each other range
-    is formatted in a forked child, into an unnamed temporary file that the
-    caller then copies onto ``fh`` in order.  So the bytes are those of the
-    plain loop.  A range whose child fails, or could not be forked, is
-    formatted by the caller, so any error is raised here as the plain loop
+def write_blocks(path, head: str, block, n_blocks: int) -> None:
+    """Write ``head``, then the texts ``block(0)``, ..., ``block(n_blocks - 1)``, to ``path``.
+
+    The file is UTF-8 with no newline translation: each LF or CR LF is written
+    as formatted, on every OS.  The blocks are split into contiguous ranges, at
+    most one per usable CPU.  The caller formats the first range straight into
+    the file; each other range is formatted in a forked child, into an unnamed
+    temporary file that the caller then copies on in order.  So the bytes are
+    those of the plain loop.  A range whose child fails, or could not be forked,
+    is formatted by the caller, so any error is raised here as the plain loop
     raises it.
 
     The time of block 0, formatted first, estimates the work W of all blocks.
@@ -90,48 +97,50 @@ def write_blocks(fh, block, n_blocks: int) -> None:
     That is least at n = sqrt(W / c), and no more ranges than that are made.
     One range, as without ``os.fork``, is the plain loop.
     """
-    start = perf_counter()
-    if n_blocks:
-        fh.write(block(0))
-    work_s = (perf_counter() - start) * n_blocks
-    most = math.isqrt(int(work_s / _CHILD_S)) if hasattr(os, "fork") else 1
-    n_ranges = max(1, min(_usable_cpus(), n_blocks, most))
-    bounds = [n_blocks * k // n_ranges for k in range(n_ranges + 1)]
-    children = []  # [pid, spill file, first index, end index] per further range, in order
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            child = [None, None, lo, hi]
-            children.append(child)
-            try:
-                child[1] = spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-                pid = _fork()
-            except OSError:  # no spill file or no process to spare: the caller formats it
-                continue
-            if pid == 0:
-                code = 1
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(head)
+        start = perf_counter()
+        if n_blocks:
+            fh.write(block(0))
+        work_s = (perf_counter() - start) * n_blocks
+        most = math.isqrt(int(work_s / _CHILD_S)) if hasattr(os, "fork") else 1
+        n_ranges = max(1, min(_usable_cpus(), n_blocks, most))
+        bounds = [n_blocks * k // n_ranges for k in range(n_ranges + 1)]
+        children = []  # [pid, spill file, first index, end index] per further range, in order
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                child = [None, None, lo, hi]
+                children.append(child)
                 try:
+                    child[1] = spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+                    pid = _fork()
+                except OSError:  # no spill file or no process to spare: the caller formats it
+                    continue
+                if pid == 0:
+                    code = 1
+                    try:
+                        for i in range(lo, hi):
+                            spill.write(block(i))
+                        spill.flush()
+                        code = 0
+                    finally:  # os._exit runs none of the caller's handlers, flushes or exit hooks
+                        os._exit(code)
+                child[0] = pid
+            for i in range(1, bounds[1]):
+                fh.write(block(i))
+            for child in children:
+                pid, spill, lo, hi = child
+                done = pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+                child[0] = None  # reaped
+                if done:
+                    spill.seek(0)
+                    shutil.copyfileobj(spill, fh)
+                else:
                     for i in range(lo, hi):
-                        spill.write(block(i))
-                    spill.flush()
-                    code = 0
-                finally:  # os._exit runs none of the caller's handlers, flushes or exit hooks
-                    os._exit(code)
-            child[0] = pid
-        for i in range(1, bounds[1]):
-            fh.write(block(i))
-        for child in children:
-            pid, spill, lo, hi = child
-            done = pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-            child[0] = None  # reaped
-            if done:
-                spill.seek(0)
-                shutil.copyfileobj(spill, fh)
-            else:
-                for i in range(lo, hi):
-                    fh.write(block(i))
-    finally:
-        for pid, spill, _, _ in children:
-            if pid is not None:  # the caller failed before this child was reaped
-                os.waitpid(pid, 0)
-            if spill is not None:
-                spill.close()
+                        fh.write(block(i))
+        finally:
+            for pid, spill, _, _ in children:
+                if pid is not None:  # the caller failed before this child was reaped
+                    os.waitpid(pid, 0)
+                if spill is not None:
+                    spill.close()

@@ -21,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from ._cpus import write_blocks
+from . import __version__, _cpus
 from .impedance import (
     FIXTURE_MODES,
     REFLECTION,
@@ -63,7 +62,6 @@ from .rssi import (
 )
 from .svgplot import line_plot_svg
 from .touchstone import (
-    _BLOCK_ROWS,
     ENCODINGS,
     UNIT_SCALE,
     TouchstoneFormat,
@@ -208,23 +206,25 @@ def _csv_text(column) -> list[str]:
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length columns under ``header`` with CRLF rows.
+    """Write equal-length columns under ``header`` with CRLF rows, by ``_cpus.write_blocks``.
 
     numpy arrays print as ``num`` does (``%.9g``); any other column is text.
-    Each block of ``_BLOCK_ROWS`` rows is one ``%`` format over a flat tuple of its cells.
+    Each block of ``_cpus.BLOCK_ROWS`` rows is one ``%`` format over a flat tuple of its cells.
     """
     columns = [c if isinstance(c, np.ndarray) else _csv_text(c) for c in columns]
     k = len(columns)
     n_rows = len(columns[0]) if columns else 0
     row = ",".join("%.9g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_csv_text(header)) + "\r\n")
-        for lo in range(0, n_rows, _BLOCK_ROWS):
-            block = [c[lo:lo + _BLOCK_ROWS] for c in columns]
-            cells = [None] * (k * len(block[0]))
-            for i, column in enumerate(block):
-                cells[i::k] = column.tolist() if isinstance(column, np.ndarray) else column
-            fh.write((row * len(block[0])) % tuple(cells))
+    rows = _cpus.BLOCK_ROWS
+
+    def block(i: int) -> str:
+        part = [c[i * rows:(i + 1) * rows] for c in columns]
+        cells = [None] * (k * len(part[0]))
+        for j, column in enumerate(part):
+            cells[j::k] = column.tolist() if isinstance(column, np.ndarray) else column
+        return (row * len(part[0])) % tuple(cells)
+
+    _cpus.write_blocks(path, ",".join(_csv_text(header)) + "\r\n", block, -(-n_rows // rows))
 
 
 def _db_below_peak(values: np.ndarray) -> np.ndarray:
@@ -258,7 +258,8 @@ def write_pattern_csv(path: Path, pattern) -> None:
     phi is printed once: one row template holds every phi's text, each theta
     row fills in its theta text, then ``u`` and ``u_db`` with one ``%`` format.
     ``u_db`` is one call over the grid: per row, SIMD kernels could round cells apart.
-    The theta rows are the blocks of ``write_blocks``, so they may be formatted on several CPUs.
+    The theta rows are the blocks of ``_cpus.write_blocks``, so they may be formatted
+    on several CPUs.
     """
     u, u_db = pattern.u, _db_below_peak(pattern.u)
     # Each cell's text after its theta: ",<phi>,%.9g,%.9g\r\n" (no %.9g text holds a %).
@@ -270,9 +271,7 @@ def write_pattern_csv(path: Path, pattern) -> None:
         cells[:, 0], cells[:, 1] = u[i], u_db[i]
         return (thetas[i] + thetas[i].join(tails)) % tuple(cells.ravel().tolist())
 
-    with open(path, "w", newline="") as fh:
-        fh.write("theta_deg,phi_deg,u,u_db\r\n")
-        write_blocks(fh, row, len(thetas))
+    _cpus.write_blocks(path, "theta_deg,phi_deg,u,u_db\r\n", row, len(thetas))
 
 
 def write_cut_csv(path: Path, angles_rad: np.ndarray, values: np.ndarray) -> None:

@@ -15,7 +15,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from ._cpus import write_blocks
+from . import _cpus
 from ._frozen import check_positive, freeze_arrays
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "TouchstoneParseError",
     "parse_touchstone",
     "write_touchstone",
-    "iter_touchstone",
+    "write_touchstone_file",
     "validate_passivity",
     "ENCODINGS",
     "UNIT_SCALE",
@@ -320,10 +320,6 @@ def _fmt_z0(z0: float) -> str:
     return str(int(z0)) if z0 == int(z0) else repr(float(z0))
 
 
-# Rows per block of text: bounds the text held at once, not a setting.
-_BLOCK_ROWS = 4096
-
-
 def _magnitude(z: np.ndarray) -> np.ndarray:
     """|z| of each entry: every complex magnitude slcap computes or writes is this one.
 
@@ -378,14 +374,14 @@ def _block_text(freqs: np.ndarray, z: np.ndarray, encoding: str) -> str:
 def _touchstone_blocks(net: NetworkData, fmt: TouchstoneFormat | None = None):
     """``net`` as a Touchstone v1 document in parts: (option line, ``block``, block count).
 
-    ``block(i)`` formats the rows ``i * _BLOCK_ROWS`` up to ``(i + 1) * _BLOCK_ROWS``,
+    ``block(i)`` formats the rows ``i * _cpus.BLOCK_ROWS`` up to ``(i + 1) * _cpus.BLOCK_ROWS``,
     reordering only that part of ``net.s``, so the blocks can be formatted one at a
     time, in any order or apart.
     """
     if fmt is None:
         fmt = TouchstoneFormat(z0_ohm=net.z0_ohm)
     scale = UNIT_SCALE[fmt.unit]
-    rows = _BLOCK_ROWS
+    rows = _cpus.BLOCK_ROWS
 
     def block(i: int) -> str:
         lo, hi = i * rows, (i + 1) * rows
@@ -397,35 +393,24 @@ def _touchstone_blocks(net: NetworkData, fmt: TouchstoneFormat | None = None):
     return option, block, -(-net.n_points // rows)
 
 
-def iter_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None):
-    """Yield ``net`` as a Touchstone v1 document: the option line, then each block's text.
+def write_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None) -> str:
+    """Serialize ``net`` as one Touchstone v1 string: the option line, then the rows.
 
     Every number is ``repr`` of a float, the shortest text that reads back to
-    the same value.  Each block of ``_BLOCK_ROWS`` rows is formatted, and its
-    part of ``net.s`` reordered, only when it is asked for, so writing the
-    yielded texts to a file holds one block's text at a time.
+    the same value.  To write a file, use :func:`write_touchstone_file`, which
+    never holds the whole text.
     """
     option, block, n_blocks = _touchstone_blocks(net, fmt)
-    yield option
-    for i in range(n_blocks):
-        yield block(i)
+    return option + "".join(map(block, range(n_blocks)))
 
 
 def write_touchstone_file(path, net: NetworkData, fmt: TouchstoneFormat | None = None) -> None:
-    """Write ``iter_touchstone(net, fmt)``'s text to ``path``, the blocks by ``write_blocks``."""
-    option, block, n_blocks = _touchstone_blocks(net, fmt)
-    with open(path, "w") as fh:
-        fh.write(option)
-        write_blocks(fh, block, n_blocks)
+    """Write ``write_touchstone(net, fmt)``'s text to ``path``, one block of rows at a time.
 
-
-def write_touchstone(net: NetworkData, fmt: TouchstoneFormat | None = None) -> str:
-    """Serialize ``net`` as one Touchstone v1 string: the joined :func:`iter_touchstone`.
-
-    To write a file, pass :func:`iter_touchstone` to ``writelines`` instead, which
-    never holds the whole text.
+    The file is UTF-8 with LF rows on every OS.  On more than one usable CPU the
+    blocks may be formatted in forked processes, with the same bytes.
     """
-    return "".join(iter_touchstone(net, fmt))
+    _cpus.write_blocks(path, *_touchstone_blocks(net, fmt))
 
 
 def validate_passivity(net: NetworkData) -> list[str]:

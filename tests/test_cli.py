@@ -1,4 +1,6 @@
-import importlib.util
+import ast
+import importlib
+import inspect
 import json
 import sys
 import warnings
@@ -788,16 +790,25 @@ def test_bad_input_exit_code_and_message(tmp_path, capsys, name):
     assert named in err
 
 
-def test_traced_names_resolve(monkeypatch):
-    """Each function that the per-layer trace (``bench/layers.py``) patches by name exists."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+def test_traced_names_resolve():
+    """Each function that the per-layer trace (``bench/layers.py``) patches by name exists.
+
+    ``WRAPPED`` is read from the file's syntax tree, so nothing under ``bench/`` is
+    imported.  It names ``cli.write_touchstone``, which ``cli`` imports only for the
+    trace; that import goes when the trace wraps functions on their own modules.
+    """
     path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
-    spec = importlib.util.spec_from_file_location("_bench_layers", path)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (wrapped,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]
+    ]
     missing = [
         (module, name)
-        for module, name, _ in layers.WRAPPED
+        for module, name, _ in wrapped
         if not callable(getattr(importlib.import_module(f"slcap.{module}"), name, None))
     ]
-    assert layers.WRAPPED and missing == []
+    assert wrapped and missing == []
+    # The trace reads the size of the file at _write_csv's first argument.
+    assert list(inspect.signature(cli._write_csv).parameters) == ["path", "header", "columns"]

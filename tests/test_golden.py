@@ -360,6 +360,20 @@ def test_every_run_is_pinned(outputs):
     assert sorted(outputs) == sorted(GOLDEN)
 
 
+def test_outputs_match_pinned_hashes_when_every_writer_forks(tmp_path, monkeypatch):
+    # Blocks of 7 rows on 3 CPUs, and any work pays for a child: every CSV,
+    # pattern.csv and Touchstone file of three blocks or more is written in
+    # three ranges, two of them forked.
+    monkeypatch.setattr(_cpus, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(_cpus, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_cpus, "_CHILD_S", 1e-15)
+    forks = []
+    fork = _cpus._fork
+    monkeypatch.setattr(_cpus, "_fork", lambda: forks.append(None) or fork())
+    assert golden_outputs(tmp_path) == GOLDEN
+    assert forks
+
+
 # The pattern runs read only their inputs, so they can run on their own.
 ONE_CPU = """
 import json, os, sys, tempfile

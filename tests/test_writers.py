@@ -30,9 +30,9 @@ from slcap.touchstone import (
     UNIT_SCALE,
     NetworkData,
     TouchstoneFormat,
-    iter_touchstone,
     parse_touchstone,
     write_touchstone,
+    write_touchstone_file,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,13 +87,27 @@ def random_text(rng, n):
     return ["".join(rng.choice(pieces, rng.integers(1, 4))) for _ in range(n)]
 
 
-ROW_COUNTS = [0, 1, touchstone._BLOCK_ROWS, touchstone._BLOCK_ROWS + 1]
+# 1 CPU runs the plain loop; 8 gives fewer blocks than CPUs for most sizes below.
+CPU_COUNTS = [1, 2, 3, 8]
 
 
+@pytest.fixture
+def cpus(monkeypatch, request):
+    # Any work pays for a child, so even these small texts are split over every CPU.
+    monkeypatch.setattr(_cpus, "_CHILD_S", 1e-15)
+    monkeypatch.setattr(_cpus, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+# Both sides of a block edge, and four blocks: up to four ranges, all but one forked.
+ROW_COUNTS = [0, 1, _cpus.BLOCK_ROWS, _cpus.BLOCK_ROWS + 1, 3 * _cpus.BLOCK_ROWS + 1]
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS, indirect=True)
 @pytest.mark.parametrize("n_rows", ROW_COUNTS)
 @pytest.mark.parametrize("layout", ["numeric", "mixed"])
-def test_csv_bytes_match_csv_writer(tmp_path, n_rows, layout):
-    rng = np.random.default_rng(n_rows + len(layout))
+def test_csv_bytes_match_csv_writer(tmp_path, cpus, n_rows, layout):
+    rng = np.random.default_rng([n_rows, len(layout), cpus])
     columns = [random_numbers(rng, n_rows) for _ in range(3)]
     if layout == "mixed":
         columns = [random_text(rng, n_rows), columns[0], random_text(rng, n_rows), columns[1]]
@@ -130,7 +144,7 @@ def random_network(rng, n_points, n_ports):
     return NetworkData(frequencies_hz=f, s=s)
 
 
-@pytest.mark.parametrize("n_points", [1, touchstone._BLOCK_ROWS, touchstone._BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n_points", [1, _cpus.BLOCK_ROWS, _cpus.BLOCK_ROWS + 1])
 @pytest.mark.parametrize("n_ports", [1, 2])
 @pytest.mark.parametrize("encoding", ENCODINGS)
 @pytest.mark.parametrize("unit", ["ghz", "hz"])
@@ -220,7 +234,7 @@ def stand_in_network(f, s):
     return SimpleNamespace(frequencies_hz=f, s=s, n_points=f.size, n_ports=s.shape[1], z0_ohm=50.0)
 
 
-BLOCK_POINTS = [touchstone._BLOCK_ROWS - 1, touchstone._BLOCK_ROWS, touchstone._BLOCK_ROWS + 1]
+BLOCK_POINTS = [_cpus.BLOCK_ROWS - 1, _cpus.BLOCK_ROWS, _cpus.BLOCK_ROWS + 1]
 
 
 @pytest.mark.parametrize("n_points", BLOCK_POINTS)
@@ -247,25 +261,25 @@ def pairs_shapes(monkeypatch):
 
 
 def test_touchstone_formats_each_distinct_entry_once(pairs_shapes):
-    n = touchstone._BLOCK_ROWS + 1
+    n = _cpus.BLOCK_ROWS + 1
     model = SeriesRlcModel(r_ohm=1.0, l_h=2e-9, c_f=1e-12)
     for mode in FIXTURE_MODES:
         pairs_shapes.clear()
         write_touchstone(synthesize_series_rlc(model, np.linspace(1e8, 2e10, n), mode=mode))
         # S12 = S21 and S22 = S11: a 2-port formats 2 columns of its 4, a 1-port its one.
         distinct = 1 if mode == "reflection" else 2
-        assert pairs_shapes == [(touchstone._BLOCK_ROWS, distinct), (1, distinct)]
+        assert pairs_shapes == [(_cpus.BLOCK_ROWS, distinct), (1, distinct)]
 
 
 def near_miss(kind):
     """A 2-port whose S12 equals S21 bit for bit except in one way, in one row of the second block."""
-    n = 2 * touchstone._BLOCK_ROWS
+    n = 2 * _cpus.BLOCK_ROWS
     rng = np.random.default_rng(len(kind))
     s = np.empty((n, 2, 2), dtype=complex)
     s.real, s.imag = rng.standard_normal((2, n, 2, 2))
     s[:, 0, 1] = s[:, 1, 0]
     s[:, 1, 1] = s[:, 0, 0]
-    k = touchstone._BLOCK_ROWS + 17
+    k = _cpus.BLOCK_ROWS + 17
     if kind == "zero_sign":
         s[k, 1, 0], s[k, 0, 1] = complex(0.0, 0.0), complex(-0.0, 0.0)
         s[k, 1, 1] = complex(0.0, -0.0)
@@ -290,23 +304,24 @@ def test_touchstone_near_mirrored_entries_stay_distinct(kind, encoding, pairs_sh
     assert [shape[1] for shape in pairs_shapes] == [2, 3 if kind != "zero_sign" else 4]
 
 
-@pytest.mark.parametrize("n_points", [1, *BLOCK_POINTS, 3 * touchstone._BLOCK_ROWS])
+@pytest.mark.parametrize("n_points", [1, *BLOCK_POINTS, 3 * _cpus.BLOCK_ROWS])
 def test_touchstone_blocks_join_to_the_document(n_points):
     net = random_network(np.random.default_rng(n_points), n_points, 2)
     fmt = TouchstoneFormat(unit="ghz", encoding="db")
-    blocks = list(iter_touchstone(net, fmt))
-    assert "".join(blocks) == write_touchstone(net, fmt)
-    assert blocks[0] == "# GHz S DB R 50\n"
-    rows = [block.count("\n") for block in blocks[1:]]
-    assert rows == [min(touchstone._BLOCK_ROWS, n_points - lo)
-                    for lo in range(0, n_points, touchstone._BLOCK_ROWS)]
+    option, block, n_blocks = touchstone._touchstone_blocks(net, fmt)
+    blocks = [block(i) for i in range(n_blocks)]
+    assert option + "".join(blocks) == reference_touchstone(net, fmt)
+    assert option == "# GHz S DB R 50\n"
+    rows = [text.count("\n") for text in blocks]
+    assert rows == [min(_cpus.BLOCK_ROWS, n_points - lo)
+                    for lo in range(0, n_points, _cpus.BLOCK_ROWS)]
 
 
 @pytest.mark.parametrize("fixture,encoding,unit", [
     ("reflection", "ri", "ghz"), ("series-through", "ma", "mhz"), ("shunt-through", "db", "hz"),
 ])
 def test_synth_file_is_the_written_document(tmp_path, fixture, encoding, unit):
-    points = touchstone._BLOCK_ROWS + 5
+    points = _cpus.BLOCK_ROWS + 5
     argv = ["--out-dir", str(tmp_path), "--fixture", fixture, "synth", "--r", "1.5",
             "--l", "2e-9", "--c", "1e-12", "--sweep", f"1e8:2e10:{points}",
             "--unit", unit, "--encoding", encoding, "--out", "s.snp"]
@@ -317,19 +332,23 @@ def test_synth_file_is_the_written_document(tmp_path, fixture, encoding, unit):
     assert (tmp_path / "s.snp").read_bytes() == write_touchstone(net, fmt).encode()
 
 
-def test_touchstone_file_write_holds_one_block(tmp_path):
+@pytest.mark.parametrize("writer", ["touchstone", "csv"])
+def test_file_write_holds_one_block(tmp_path, monkeypatch, writer):
+    # One CPU: the caller formats every block, so tracemalloc sees all of them.
+    monkeypatch.setattr(_cpus, "_usable_cpus", lambda: 1)
     model = SeriesRlcModel(r_ohm=1.0, l_h=2e-9, c_f=1e-12)
     fmt = TouchstoneFormat(unit="mhz", encoding="ma")
+    header = ["a", "b", "c", "d", "e", "f"]
     peaks = {}
     for n in (25_000, 100_000):
-        net = synthesize_series_rlc(model, np.linspace(1e8, 2e10, n))
-
-        def write():
-            with open(tmp_path / "out.s2p", "w") as fh:
-                fh.writelines(iter_touchstone(net, fmt))
-
-        peaks[n] = traced_peak(write)
-    # Whole-document writing grows with the sweep: about 40 MB at 100k points.
+        if writer == "touchstone":
+            net = synthesize_series_rlc(model, np.linspace(1e8, 2e10, n))
+            peaks[n] = traced_peak(lambda: write_touchstone_file(tmp_path / "out.s2p", net, fmt))
+        else:
+            columns = list(random_numbers(np.random.default_rng(n), (6, n)))
+            peaks[n] = traced_peak(lambda: cli._write_csv(tmp_path / "out.csv", header, columns))
+    # Whole-document writing grows with the sweep: about 40 MB for the 100k-point
+    # Touchstone file, and about 37 MB for the 100k-row CSV.
     assert peaks[100_000] < 6e6
     assert abs(peaks[100_000] - peaks[25_000]) < 1e6
 
@@ -393,17 +412,6 @@ def test_pattern_csv_holds_under_two_grids(tmp_path):
 # ---------------------------------------------------------------------------
 # Block writer on every CPU: the Touchstone file and the pattern CSV
 
-# 1 CPU runs the plain loop; 8 gives fewer blocks than CPUs for most sizes below.
-CPU_COUNTS = [1, 2, 3, 8]
-
-
-@pytest.fixture
-def cpus(monkeypatch, request):
-    # Any work pays for a child, so even these small texts are split over every CPU.
-    monkeypatch.setattr(_cpus, "_CHILD_S", 1e-15)
-    monkeypatch.setattr(_cpus, "_usable_cpus", lambda: request.param)
-    return request.param
-
 
 @pytest.mark.parametrize("cpus", CPU_COUNTS, indirect=True)
 @pytest.mark.parametrize("n_points", [1, 7, 8, 22])
@@ -411,19 +419,19 @@ def cpus(monkeypatch, request):
 @pytest.mark.parametrize("encoding", ENCODINGS)
 def test_touchstone_file_on_any_cpu_count(tmp_path, monkeypatch, cpus, n_points, n_ports,
                                           encoding):
-    monkeypatch.setattr(touchstone, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(_cpus, "BLOCK_ROWS", 7)
     net = random_network(np.random.default_rng([n_points, n_ports, cpus]), n_points, n_ports)
     fmt = TouchstoneFormat(unit="mhz", encoding=encoding)
-    touchstone.write_touchstone_file(tmp_path / "s.snp", net, fmt)
+    write_touchstone_file(tmp_path / "s.snp", net, fmt)
     text = (tmp_path / "s.snp").read_text()
-    assert text == "".join(iter_touchstone(net, fmt))
+    assert text == write_touchstone(net, fmt)
     assert text == reference_touchstone(net, fmt)
 
 
 @pytest.mark.parametrize("cpus", CPU_COUNTS, indirect=True)
 @pytest.mark.parametrize("fixture,encoding", [("reflection", "ri"), ("series-through", "db")])
 def test_synth_command_on_any_cpu_count(tmp_path, monkeypatch, cpus, fixture, encoding):
-    monkeypatch.setattr(touchstone, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(_cpus, "BLOCK_ROWS", 7)
     argv = ["--out-dir", str(tmp_path), "--fixture", fixture, "synth", "--r", "1.5",
             "--l", "2e-9", "--c", "1e-12", "--sweep", "1e8:2e10:22", "--encoding", encoding,
             "--out", "s.snp"]
@@ -458,9 +466,7 @@ def assert_no_child_left():
 
 
 def write_numbered(path, block, n_blocks):
-    with open(path, "w") as fh:
-        fh.write("head\n")
-        _cpus.write_blocks(fh, block, n_blocks)
+    _cpus.write_blocks(path, "head\n", block, n_blocks)
     return path.read_text()
 
 
@@ -567,8 +573,7 @@ _cpus._usable_cpus = lambda: 4
 _cpus._CHILD_S = 1e-15
 assert tempfile.gettempdir() == os.environ["TMPDIR"]
 print("printed before the write")  # a pipe: block-buffered, not flushed
-with open(sys.argv[1], "w") as fh:
-    _cpus.write_blocks(fh, lambda i: f"block {i}\\n", 8)
+_cpus.write_blocks(sys.argv[1], "", lambda i: f"block {i}\\n", 8)
 print("printed after")
 """
 
