@@ -3,17 +3,23 @@
 ``_run_blocks`` runs numeric blocks on threads (numpy releases the GIL).
 ``write_blocks`` writes every table file slcap writes, each CSV, ``pattern.csv``
 and the Touchstone file, formatting its blocks in forked processes (formatting
-holds the GIL).  Both give the same result as a plain loop over the blocks, at
-any CPU count.
+holds the GIL).  ``parse_both`` parses the ``rssi`` command's baseline log in a
+forked process while the caller parses the novel log.  Each forked process is a
+``_Child``, and each gives the same result, or error, as the plain serial calls,
+at any CPU count.  Forking is POSIX-only; the children's memory is in no figure
+that slcap reports.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
 import shutil
 import tempfile
 import threading
 import warnings
+from functools import partial
 from time import perf_counter
 
 
@@ -59,8 +65,8 @@ def _run_blocks(block, n_blocks: int) -> None:
 
 def _fork() -> int:
     # From Python 3.12, fork() beside other OS threads (numpy's BLAS pool) warns
-    # that the child may deadlock.  The child here only formats text, writes it
-    # to its spill file and leaves with os._exit, so the warning is not shown.
+    # that the child may deadlock.  A ``_Child`` only formats or parses text, writes
+    # it to its spill file and leaves with os._exit, so the warning is not shown.
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
@@ -68,15 +74,70 @@ def _fork() -> int:
         return os.fork()
 
 
-# The caller's cost per forked range: the fork, and the copy-on-write faults it
+# The caller's cost per forked child: the fork, and the copy-on-write faults it
 # brings to both processes.  n = isqrt(W / c) first makes two ranges at W = 4c.
 # On a 2-CPU x86_64 host, in a 52 MB process, two ranges ran slower than one on
 # a 1-degree pattern grid (57 ms to format) and faster on a 0.8-degree one (89 ms).
 _CHILD_S = 0.02
 
+# Log text parsed per second, to estimate a parse's time from its file's size: the
+# seed-1 bench logs, AT and CSV, parsed at 8-15 MB/s on the same host, about 10 in
+# the median.  So a parse pays for a child from about 200 KB.
+_PARSE_BYTES_PER_S = 10e6
+
 # Rows per block of a table's text: bounds the text held at once, not a setting.
 # The writers read it at each call.
 BLOCK_ROWS = 4096
+
+
+class _Child:
+    """``work(spill)`` run in a forked child, into an unnamed temporary file ``spill``.
+
+    ``mode`` opens the file: ``"w+b"``, or ``"w+"`` for UTF-8 text with no newline
+    translation.  ``result(load, redo)`` reaps the child and returns ``load(spill)``,
+    read from the start, if it exited 0.  Otherwise, as when no file or no process
+    could be had, it returns ``redo()``, run in the caller: so the caller gets the
+    result, or the error, of ``redo()`` alone.  Leaving the ``with`` block kills and
+    reaps a child whose result was not taken, and closes the file.
+    """
+
+    def __init__(self, work, mode: str):
+        self.pid = self.spill = None
+        text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+        try:
+            self.spill = tempfile.TemporaryFile(mode, **text)
+            pid = _fork()
+        except OSError:  # no spill file or no process to spare: ``result`` redoes the work
+            return
+        if pid == 0:
+            code = 1
+            try:
+                work(self.spill)
+                self.spill.flush()
+                code = 0
+            finally:  # os._exit runs none of the caller's handlers, flushes or exit hooks
+                os._exit(code)
+        self.pid = pid
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.pid is not None:  # the caller failed before it took the result
+            import signal  # here only: its enums raised one command's own peak RSS by 0.5 MB
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        if self.spill is not None:
+            self.spill.close()
+
+    def result(self, load, redo):
+        done = self.pid is not None and os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1]) == 0
+        self.pid = None  # reaped
+        if not done:
+            return redo()
+        self.spill.seek(0)
+        return load(self.spill)
 
 
 def write_blocks(path, head: str, block, n_blocks: int) -> None:
@@ -85,11 +146,9 @@ def write_blocks(path, head: str, block, n_blocks: int) -> None:
     The file is UTF-8 with no newline translation: each LF or CR LF is written
     as formatted, on every OS.  The blocks are split into contiguous ranges, at
     most one per usable CPU.  The caller formats the first range straight into
-    the file; each other range is formatted in a forked child, into an unnamed
-    temporary file that the caller then copies on in order.  So the bytes are
-    those of the plain loop.  A range whose child fails, or could not be forked,
-    is formatted by the caller, so any error is raised here as the plain loop
-    raises it.
+    the file; each other range is formatted by a ``_Child``, whose spill file the
+    caller then copies on in order.  So the bytes are those of the plain loop,
+    and any error is raised here as the plain loop raises it.
 
     The time of block 0, formatted first, estimates the work W of all blocks.
     The caller forks its children one after another before the rest of its
@@ -97,7 +156,11 @@ def write_blocks(path, head: str, block, n_blocks: int) -> None:
     That is least at n = sqrt(W / c), and no more ranges than that are made.
     One range, as without ``os.fork``, is the plain loop.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    def write_range(lo, hi, out):
+        for i in range(lo, hi):
+            out.write(block(i))
+
+    with open(path, "w", encoding="utf-8", newline="") as fh, contextlib.ExitStack() as stack:
         fh.write(head)
         start = perf_counter()
         if n_blocks:
@@ -106,41 +169,30 @@ def write_blocks(path, head: str, block, n_blocks: int) -> None:
         most = math.isqrt(int(work_s / _CHILD_S)) if hasattr(os, "fork") else 1
         n_ranges = max(1, min(_usable_cpus(), n_blocks, most))
         bounds = [n_blocks * k // n_ranges for k in range(n_ranges + 1)]
-        children = []  # [pid, spill file, first index, end index] per further range, in order
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                child = [None, None, lo, hi]
-                children.append(child)
-                try:
-                    child[1] = spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-                    pid = _fork()
-                except OSError:  # no spill file or no process to spare: the caller formats it
-                    continue
-                if pid == 0:
-                    code = 1
-                    try:
-                        for i in range(lo, hi):
-                            spill.write(block(i))
-                        spill.flush()
-                        code = 0
-                    finally:  # os._exit runs none of the caller's handlers, flushes or exit hooks
-                        os._exit(code)
-                child[0] = pid
-            for i in range(1, bounds[1]):
-                fh.write(block(i))
-            for child in children:
-                pid, spill, lo, hi = child
-                done = pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-                child[0] = None  # reaped
-                if done:
-                    spill.seek(0)
-                    shutil.copyfileobj(spill, fh)
-                else:
-                    for i in range(lo, hi):
-                        fh.write(block(i))
-        finally:
-            for pid, spill, _, _ in children:
-                if pid is not None:  # the caller failed before this child was reaped
-                    os.waitpid(pid, 0)
-                if spill is not None:
-                    spill.close()
+        ranges = list(zip(bounds[1:-1], bounds[2:]))  # one child each, in order
+        children = [stack.enter_context(_Child(partial(write_range, lo, hi), "w+"))
+                    for lo, hi in ranges]
+        write_range(1, bounds[1], fh)
+        for child, (lo, hi) in zip(children, ranges):
+            child.result(lambda spill: shutil.copyfileobj(spill, fh),
+                         partial(write_range, lo, hi, fh))
+
+
+def parse_both(first, second, second_bytes: int):
+    """``(first(), second())`` for two independent parses, ``second`` of ``second_bytes`` of text.
+
+    A ``_Child`` runs ``second`` and pickles its result while the caller runs
+    ``first``, when there are two usable CPUs, ``os.fork`` exists, and
+    ``second_bytes`` at ``_PARSE_BYTES_PER_S`` estimate a parse longer than
+    ``_CHILD_S``.  Whatever the child does, the caller gets the results of the
+    plain calls, or the error that the first failing one of them raises.
+    """
+    if (_usable_cpus() < 2 or not hasattr(os, "fork")
+            or second_bytes / _PARSE_BYTES_PER_S <= _CHILD_S):
+        return first(), second()
+
+    def work(spill):
+        pickle.dump(second(), spill, pickle.HIGHEST_PROTOCOL)
+
+    with _Child(work, "w+b") as child:
+        return first(), child.result(pickle.load, second)

@@ -17,6 +17,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -518,8 +519,13 @@ def _area(text: str) -> float:
 
 def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
     parse = parse_at_csq_log if args.format == "at" else parse_rssi_csv
-    novel = _parse_input(args.novel_log, parse, antenna="novel")
-    baseline = _parse_input(args.baseline_log, parse, antenna="baseline")
+    # The baseline log may be parsed in a forked process; a missing one is _parse_input's error.
+    size = Path(args.baseline_log).stat().st_size if Path(args.baseline_log).is_file() else 0
+    novel, baseline = _cpus.parse_both(
+        partial(_parse_input, args.novel_log, parse, antenna="novel"),
+        partial(_parse_input, args.baseline_log, parse, antenna="baseline"),
+        size,
+    )
 
     report = compare_datasets(
         novel,

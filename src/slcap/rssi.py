@@ -42,14 +42,19 @@ __all__ = [
 
 RSSI_UNKNOWN = 99
 
+# A timestamp as ``isoformat`` writes it once a Z is read as +00:00, or with a space before
+# the time: a fraction unless zero, an offset as +-HH:MM but -00:00 (``fromisoformat``
+# carries minutes past 59).
+_ISO = (r"(?a:\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d(?!\.0{6})(?:\.\d{6})?"
+        r"(?:(?!-00:00)[+-]\d\d:[0-5]\d|[Zz])?)")
+_ISO_TEXT = re.compile(_ISO)
 # Matched in full against one stripped line.  The codes hold no "+", so the timestamp
-# ends at the whitespace before the last "+CSQ:", which a greedy ``.*\S`` finds from the
-# end with less backtracking than ``.+?`` from the start.
-_CSQ_LINE = re.compile(r"(?P<ts>.*\S)\s+\+CSQ:\s*(?P<rssi>\d+)\s*,\s*(?P<ber>\d+)\s*")
-# A timestamp as ``isoformat`` writes it, or with a space before the time: a fraction unless
-# zero, an offset as +-HH:MM but -00:00 (``fromisoformat`` carries minutes past 59).
-_ISO_TEXT = re.compile(r"(?a)\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d(?!\.0{6})(\.\d{6})?"
-                       r"(?!-00:00)([+-]\d\d:[0-5]\d)?")
+# ends at the whitespace before the last "+CSQ:".  A canonical one is tried first, and
+# sets the empty group ``iso``; any other is found from the end by a greedy ``.*\S``,
+# with less backtracking than ``.+?`` from the start.
+_CSQ_LINE = re.compile(
+    rf"(?P<ts>{_ISO}(?P<iso>)|.*\S)\s+\+CSQ:\s*(?P<rssi>\d+)\s*,\s*(?P<ber>\d+)\s*"
+)
 
 
 class AtLogParseError(ValueError):
@@ -109,6 +114,11 @@ class RssiDataset:
         rssi.flags.writeable = ber.flags.writeable = False
         self.__dict__.update(rssi=rssi, ber=ber, environment=environment, antenna=antenna)
 
+    def __setstate__(self, state):
+        # An unpickled array may be writeable; the columns of a dataset are not.
+        self.__dict__.update(state)
+        self.rssi.flags.writeable = self.ber.flags.writeable = False
+
     @cached_property
     def timestamps(self) -> tuple[datetime, ...]:
         return tuple(map(datetime.fromisoformat, self.iso_timestamps))
@@ -139,6 +149,8 @@ def _dataset(numbers, fields, fault, int_message, environment, antenna) -> RssiD
 
     Each of ``fields`` is a reading's (timestamp, rssi, ber) texts, or the message of the
     format's own error on its line; ``fault`` is an error after the last of them, or None.
+    An AT line's match holds ``_CSQ_LINE``'s ``iso`` group second, not None where its
+    timestamp is already canonical; a CSV cell's timestamp is checked here.
     Each check runs only on the readings before the first that failed an earlier one, so the
     first bad line is reported, and on it the checks run in the order format, timestamp,
     integers, ranges.  A failed ``int`` reads ``int_message``, or its own text.  ``fields``
@@ -152,7 +164,8 @@ def _dataset(numbers, fields, fault, int_message, environment, antenna) -> RssiD
         del fields[n:]
     # A comprehension per column: zip(*fields) would make a tracked iterator per row.
     ts_texts = [f[0].strip() for f in fields]
-    codes, levels = [f[1] for f in fields], [f[2] for f in fields]
+    codes, levels = [f[-2] for f in fields], [f[-1] for f in fields]
+    canonical = [f[1] is not None for f in fields] if fields and len(fields[0]) == 4 else None
     n = len(fields)
     fields.clear()
     cleaned = [ts[:-1] + "+00:00" if ts[-1:] in ("Z", "z") else ts for ts in ts_texts]
@@ -171,9 +184,11 @@ def _dataset(numbers, fields, fault, int_message, environment, antenna) -> RssiD
             n = len(column)
             fault = AtLogParseError(numbers[n], int_message or str(exc))
     del codes, levels, cleaned[n:], rssi[n:]
-    for i, text in enumerate(cleaned):  # in place: a new text can take its old one's memory
-        cleaned[i] = (text.replace(" ", "T") if _ISO_TEXT.fullmatch(text)
-                      else datetime.fromisoformat(text).isoformat())
+    if canonical is None:
+        canonical = map(_ISO_TEXT.fullmatch, cleaned)
+    # In place: a new text can take its old one's memory.
+    for i, (text, known) in enumerate(zip(cleaned, canonical)):
+        cleaned[i] = text.replace(" ", "T") if known else datetime.fromisoformat(text).isoformat()
     iso = _IsoText(cleaned)
     del cleaned
     try:

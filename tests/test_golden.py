@@ -363,15 +363,24 @@ def test_every_run_is_pinned(outputs):
 def test_outputs_match_pinned_hashes_when_every_writer_forks(tmp_path, monkeypatch):
     # Blocks of 7 rows on 3 CPUs, and any work pays for a child: every CSV,
     # pattern.csv and Touchstone file of three blocks or more is written in
-    # three ranges, two of them forked.
+    # three ranges, two of them forked.  Any log pays for a child too, so each
+    # rssi run parses its baseline log in a forked process.
     monkeypatch.setattr(_cpus, "BLOCK_ROWS", 7)
     monkeypatch.setattr(_cpus, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(_cpus, "_CHILD_S", 1e-15)
-    forks = []
+    monkeypatch.setattr(_cpus, "_PARSE_BYTES_PER_S", 1e-9)
+    forks, modes = [], []
     fork = _cpus._fork
     monkeypatch.setattr(_cpus, "_fork", lambda: forks.append(None) or fork())
+
+    class Child(_cpus._Child):
+        def __init__(self, work, mode):
+            modes.append(mode)  # "w+b" for a parse, "w+" for a range of a file
+            super().__init__(work, mode)
+
+    monkeypatch.setattr(_cpus, "_Child", Child)
     assert golden_outputs(tmp_path) == GOLDEN
-    assert forks
+    assert len(forks) == len(modes) and modes.count("w+b") == 2
 
 
 # The pattern runs read only their inputs, so they can run on their own.

@@ -11,10 +11,13 @@ inputs, the outputs it hashes) reads as that floor.  This script builds the work
 inputs with ``bench/workloads.py`` under ``.bench_work/own_rss/``, then hands the command
 lines to a ``python -S`` helper that imports only ``json``, ``os`` and ``sys``.  The helper
 starts each command with ``posix_spawn`` and reaps it with ``wait4``, so each reading is the
-command's own.  With ``--parent``, that commit is exported with ``git archive`` and its
-``src/`` runs the same commands, alternating with the working tree within each repetition.
-Each command's median ``ru_maxrss`` is printed per tree, then one JSON line.  Outputs are
-not checked; ``bench/run.py`` does that.
+command's own.  The working tree's ``src/`` is copied to ``<tmp>/change/src`` and runs from
+there.  With ``--parent``, that commit's ``src/`` is exported with ``git archive`` to
+``<tmp>/parent/src`` and runs the same commands, alternating with the working tree within
+each repetition.  The two trees are siblings with paths of the same length, because where a
+tree sits alone moves own peak RSS by more than the bench's 0.1 MB bound.  Each command's
+median ``ru_maxrss`` is printed per tree, then one JSON line.  Outputs are not checked;
+``bench/run.py`` does that.
 """
 from __future__ import annotations
 
@@ -73,12 +76,16 @@ def main(argv: list[str] | None = None) -> int:
         cmd.out_dir.mkdir(parents=True, exist_ok=True)
 
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"change": ROOT / "src"}
+        trees = {"change": Path(tmp) / "change" / "src"}
+        shutil.copytree(ROOT / "src", trees["change"],
+                        ignore=shutil.ignore_patterns("__pycache__"))
         if args.parent:
             archive = subprocess.run(["git", "archive", args.parent, "src"], cwd=ROOT,
                                      capture_output=True, check=True)
-            subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-            trees = {"parent": Path(tmp) / "src", **trees}
+            (Path(tmp) / "parent").mkdir()
+            subprocess.run(["tar", "-x", "-C", str(Path(tmp) / "parent")],
+                           input=archive.stdout, check=True)
+            trees = {"parent": Path(tmp) / "parent" / "src", **trees}
         job = {
             "python": sys.executable,
             "reps": args.reps,
