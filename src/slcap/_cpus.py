@@ -1,13 +1,15 @@
 """Independent blocks of work spread over the CPUs in the affinity set, with no setting.
 
 ``_run_blocks`` runs numeric blocks on threads (numpy releases the GIL).
-``write_blocks`` writes every table file slcap writes, each CSV, ``pattern.csv``
-and the Touchstone file, formatting its blocks in forked processes (formatting
-holds the GIL).  ``parse_both`` parses the ``rssi`` command's baseline log in a
-forked process while the caller parses the novel log.  Each forked process is a
-``_Child``, and each gives the same result, or error, as the plain serial calls,
-at any CPU count.  Forking is POSIX-only; the children's memory is in no figure
-that slcap reports.
+``write_blocks`` writes every output file slcap writes, the tables (each CSV,
+``pattern.csv`` and the Touchstone file), the reports and the SVGs, and may
+format a table's blocks in forked processes (formatting holds the GIL).
+``parse_both`` parses the ``rssi`` command's baseline log in a forked process
+while the caller parses the novel log.  Each forked process is a ``_Child``,
+which spills its bytes into an unnamed binary temporary file, and each gives
+the same result, or error, as the plain serial calls, at any CPU count.
+Forking is POSIX-only; the children's memory is in no figure that slcap
+reports.
 """
 from __future__ import annotations
 
@@ -91,21 +93,19 @@ BLOCK_ROWS = 4096
 
 
 class _Child:
-    """``work(spill)`` run in a forked child, into an unnamed temporary file ``spill``.
+    """``work(spill)`` run in a forked child, into an unnamed binary temporary file ``spill``.
 
-    ``mode`` opens the file: ``"w+b"``, or ``"w+"`` for UTF-8 text with no newline
-    translation.  ``result(load, redo)`` reaps the child and returns ``load(spill)``,
-    read from the start, if it exited 0.  Otherwise, as when no file or no process
-    could be had, it returns ``redo()``, run in the caller: so the caller gets the
-    result, or the error, of ``redo()`` alone.  Leaving the ``with`` block kills and
-    reaps a child whose result was not taken, and closes the file.
+    ``result(load, redo)`` reaps the child and returns ``load(spill)``, read from the
+    start, if it exited 0.  Otherwise, as when no file or no process could be had, it
+    returns ``redo()``, run in the caller: so the caller gets the result, or the error,
+    of ``redo()`` alone.  Leaving the ``with`` block kills and reaps a child whose
+    result was not taken, and closes the file.
     """
 
-    def __init__(self, work, mode: str):
+    def __init__(self, work):
         self.pid = self.spill = None
-        text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
         try:
-            self.spill = tempfile.TemporaryFile(mode, **text)
+            self.spill = tempfile.TemporaryFile()
             pid = _fork()
         except OSError:  # no spill file or no process to spare: ``result`` redoes the work
             return
@@ -143,12 +143,14 @@ class _Child:
 def write_blocks(path, head: str, block, n_blocks: int) -> None:
     """Write ``head``, then the texts ``block(0)``, ..., ``block(n_blocks - 1)``, to ``path``.
 
-    The file is UTF-8 with no newline translation: each LF or CR LF is written
-    as formatted, on every OS.  The blocks are split into contiguous ranges, at
-    most one per usable CPU.  The caller formats the first range straight into
-    the file; each other range is formatted by a ``_Child``, whose spill file the
-    caller then copies on in order.  So the bytes are those of the plain loop,
-    and any error is raised here as the plain loop raises it.
+    Every output file slcap writes passes here: the tables, and with no blocks,
+    the reports and the SVGs.  Each text is encoded once as UTF-8 and written as
+    bytes, so each LF or CR LF is written as formatted, on every OS.  The blocks
+    are split into contiguous ranges, at most one per usable CPU.  The caller
+    formats the first range straight into the file; each other range is
+    formatted by a ``_Child`` into its spill file, whose bytes the caller then
+    copies on in order.  So the bytes are those of the plain loop, and any
+    error is raised here as the plain loop raises it.
 
     The time of block 0, formatted first, estimates the work W of all blocks.
     The caller forks its children one after another before the rest of its
@@ -158,19 +160,19 @@ def write_blocks(path, head: str, block, n_blocks: int) -> None:
     """
     def write_range(lo, hi, out):
         for i in range(lo, hi):
-            out.write(block(i))
+            out.write(block(i).encode())
 
-    with open(path, "w", encoding="utf-8", newline="") as fh, contextlib.ExitStack() as stack:
-        fh.write(head)
+    with open(path, "wb") as fh, contextlib.ExitStack() as stack:
+        fh.write(head.encode())
         start = perf_counter()
         if n_blocks:
-            fh.write(block(0))
+            fh.write(block(0).encode())
         work_s = (perf_counter() - start) * n_blocks
         most = math.isqrt(int(work_s / _CHILD_S)) if hasattr(os, "fork") else 1
         n_ranges = max(1, min(_usable_cpus(), n_blocks, most))
         bounds = [n_blocks * k // n_ranges for k in range(n_ranges + 1)]
         ranges = list(zip(bounds[1:-1], bounds[2:]))  # one child each, in order
-        children = [stack.enter_context(_Child(partial(write_range, lo, hi), "w+"))
+        children = [stack.enter_context(_Child(partial(write_range, lo, hi)))
                     for lo, hi in ranges]
         write_range(1, bounds[1], fh)
         for child, (lo, hi) in zip(children, ranges):
@@ -194,5 +196,5 @@ def parse_both(first, second, second_bytes: int):
     def work(spill):
         pickle.dump(second(), spill, pickle.HIGHEST_PROTOCOL)
 
-    with _Child(work, "w+b") as child:
+    with _Child(work) as child:
         return first(), child.result(pickle.load, second)

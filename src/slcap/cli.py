@@ -298,8 +298,13 @@ def write_rssi_csv(path: Path, dataset) -> None:
 def _emit_report(path: Path, rows: list[tuple[str, str]]) -> None:
     """Write the ``key = value`` report to ``path`` and echo it to stdout."""
     text = report_text(rows)
-    path.write_text(text)
+    _cpus.write_blocks(path, text, None, 0)
     print(text, end="")
+
+
+def _write_svg(path: Path, x, series, xlabel: str, ylabel: str) -> None:
+    """Write ``line_plot_svg``'s plot; the name is read on ``cli``, where the trace wraps it."""
+    _cpus.write_blocks(path, line_plot_svg(x, series, xlabel=xlabel, ylabel=ylabel), None, 0)
 
 
 # Largest input file read (Touchstone, layout, log or config), checked with stat first.
@@ -371,13 +376,8 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     ]
     _emit_report(out / "analyze_report.txt", rows)
     if args.svg:
-        svg = line_plot_svg(
-            profile.frequencies_hz,
-            [("|Z| (ohm)", profile.magnitude)],
-            xlabel="frequency (Hz)",
-            ylabel="|Z| (ohm)",
-        )
-        (out / "impedance.svg").write_text(svg)
+        _write_svg(out / "impedance.svg", profile.frequencies_hz,
+                   [("|Z| (ohm)", profile.magnitude)], "frequency (Hz)", "|Z| (ohm)")
     return 0
 
 
@@ -435,13 +435,8 @@ def cmd_match(args: argparse.Namespace, cfg: RunConfig) -> int:
     ]
     _emit_report(out / "match_report.txt", rows)
     if args.svg:
-        svg = line_plot_svg(
-            f,
-            [("unmatched", unmatched.vswr), ("matched", matched.vswr)],
-            xlabel="frequency (Hz)",
-            ylabel="VSWR",
-        )
-        (out / "vswr.svg").write_text(svg)
+        _write_svg(out / "vswr.svg", f, [("unmatched", unmatched.vswr), ("matched", matched.vswr)],
+                   "frequency (Hz)", "VSWR")
     return 0
 
 
@@ -485,13 +480,8 @@ def cmd_pattern(args: argparse.Namespace, cfg: RunConfig) -> int:
         )
     _emit_report(out / "pattern_report.txt", rows)
     if args.svg:
-        svg = line_plot_svg(
-            np.degrees(angles),
-            [("cut", _db_below_peak(values))],
-            xlabel="angle (deg)",
-            ylabel="u (dB rel. peak)",
-        )
-        (out / "cut.svg").write_text(svg)
+        _write_svg(out / "cut.svg", np.degrees(angles), [("cut", _db_below_peak(values))],
+                   "angle (deg)", "u (dB rel. peak)")
     return 0
 
 
@@ -543,13 +533,8 @@ def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.svg:
         known = novel.known_rssi()
         if known.size:
-            svg = line_plot_svg(
-                np.arange(known.size),
-                [("novel rssi", known)],
-                xlabel="sample",
-                ylabel="rssi",
-            )
-            (out / "rssi.svg").write_text(svg)
+            _write_svg(out / "rssi.svg", np.arange(known.size), [("novel rssi", known)],
+                       "sample", "rssi")
     return 0
 
 

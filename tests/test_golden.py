@@ -369,18 +369,33 @@ def test_outputs_match_pinned_hashes_when_every_writer_forks(tmp_path, monkeypat
     monkeypatch.setattr(_cpus, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(_cpus, "_CHILD_S", 1e-15)
     monkeypatch.setattr(_cpus, "_PARSE_BYTES_PER_S", 1e-9)
-    forks, modes = [], []
+    forks, jobs = [], []
     fork = _cpus._fork
     monkeypatch.setattr(_cpus, "_fork", lambda: forks.append(None) or fork())
 
     class Child(_cpus._Child):
-        def __init__(self, work, mode):
-            modes.append(mode)  # "w+b" for a parse, "w+" for a range of a file
-            super().__init__(work, mode)
+        def __init__(self, work):
+            # The function that made the job: parse_both for a parse, write_blocks for
+            # a range of a file (a partial of its write_range).
+            jobs.append(getattr(work, "func", work).__qualname__.split(".")[0])
+            super().__init__(work)
 
     monkeypatch.setattr(_cpus, "_Child", Child)
     assert golden_outputs(tmp_path) == GOLDEN
-    assert len(forks) == len(modes) and modes.count("w+b") == 2
+    assert len(forks) == len(jobs) and jobs.count("parse_both") == 2
+    assert set(jobs) == {"parse_both", "write_blocks"}
+
+
+def test_every_output_file_passes_the_one_writer(tmp_path, monkeypatch):
+    # Tables, reports and SVGs alike: each file in an output directory was
+    # written by _cpus.write_blocks, once.
+    written = []
+    write_blocks = _cpus.write_blocks
+    monkeypatch.setattr(_cpus, "write_blocks",
+                        lambda path, *args: written.append(Path(path)) or write_blocks(path, *args))
+    golden_outputs(tmp_path)
+    files = [path for name in GOLDEN for path in (tmp_path / name).iterdir()]
+    assert sorted(written) == sorted(files)
 
 
 # The pattern runs read only their inputs, so they can run on their own.

@@ -593,6 +593,65 @@ def test_forked_write_leaves_no_output_twice_and_no_file(tmp_path):
     assert list(spill_dir.iterdir()) == []
 
 
+# Every fork path once, in a process where a ResourceWarning is an error: three
+# ranges of a CSV, a range whose child fails, a refused spill file, a forked
+# parse of two tiny logs, and a report and an SVG written with no blocks.  An
+# unclosed file or an unreaped child shows as stderr text or as a failed assert.
+LEAK_CHECK = """
+import os, sys, tempfile
+from pathlib import Path
+from slcap import _cpus, cli
+_cpus.BLOCK_ROWS, _cpus._CHILD_S, _cpus._PARSE_BYTES_PER_S = 7, 1e-15, 1e-9
+_cpus._usable_cpus = lambda: 3
+forks, fork = [], _cpus._fork
+_cpus._fork = lambda: forks.append(None) or fork()
+out, caller = Path(sys.argv[1]), os.getpid()
+
+def block(i):
+    if i == 2 and os.getpid() != caller:
+        raise MemoryError("only in a child")
+    return f"block {i}\\n"
+
+def refused(*args, **kwargs):
+    raise OSError("refused")
+
+_cpus.write_blocks(out / "failed_child.txt", "", block, 3)
+assert len(forks) == 2
+spill, tempfile.TemporaryFile = tempfile.TemporaryFile, refused
+_cpus.write_blocks(out / "no_spill.txt", "", block, 3)
+tempfile.TemporaryFile = spill
+assert len(forks) == 2
+for name in ("failed_child.txt", "no_spill.txt"):
+    assert (out / name).read_text() == "block 0\\nblock 1\\nblock 2\\n"
+for name in ("novel.log", "baseline.log"):
+    (out / name).write_text("".join(f"2025-11-04T09:{m:02}:00Z +CSQ: {10 + m % 5},0\\n"
+                                    for m in range(20)))
+argv = ["--svg", "--out-dir", str(out), "rssi", str(out / "novel.log"), str(out / "baseline.log")]
+assert cli.run_command(argv) == 0
+try:
+    os.waitpid(-1, os.WNOHANG)
+    sys.exit("a child is left unreaped")
+except ChildProcessError:
+    pass
+print(len(forks))
+"""
+
+
+def test_every_fork_path_leaves_no_file_open_and_no_child(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", LEAK_CHECK,
+            str(tmp_path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # rssi: the baseline parse, then two forked ranges of each of its three 20-row CSVs.
+    assert int(proc.stdout.splitlines()[-1]) == 2 + 1 + 3 * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "baseline.log", "comparison.csv", "comparison.txt", "failed_child.txt", "no_spill.txt",
+        "novel.log", "rssi.svg", "rssi_baseline.csv", "rssi_novel.csv",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # SVG line plots
 

@@ -6,12 +6,18 @@ Usage, from the root of a checkout:
         --runs sweep:1-5 --runs fieldlog:1-3:trace
 
 The parent commit (``--parent``, default HEAD) is exported with ``git archive``
-to a temporary directory.  For each workload and seed, ``python3 bench/run.py
---workload W --seed S --seconds T [--trace 1]`` runs once from that export
-and once from the working tree, odd seeds parent first and even seeds the
-working tree first; T is ``run_seconds`` from ``BENCHMARK.json``.  The last
-line each run prints, one JSON object, is kept unedited, and the file is
-rewritten after every run, so an interrupted session keeps what it measured.
+to ``<tmp>/parent``, and what ``bench/run.py`` needs of the working tree
+(``src/``, ``bench/``, ``tests/`` and ``BENCHMARK.json``, without
+``__pycache__`` or ``.bench_work``) is copied to ``<tmp>/change``.  Both sides
+run from these sibling copies, whose paths have the same length, because where
+a tree sits alone moves own peak RSS by more than the bench's 0.1 MB bound: two
+byte-identical copies of one ``src/``, in different places, read 48.07 and
+48.32 MB for the same ``rssi`` command with bytecode cached.  For each workload
+and seed, ``python3 bench/run.py --workload W --seed S --seconds T [--trace 1]``
+runs once from each copy, odd seeds parent first and even seeds the change
+first; T is ``run_seconds`` from ``BENCHMARK.json``.  The last line each run
+prints, one JSON object, is kept unedited, and the file is rewritten after
+every run, so an interrupted session keeps what it measured.
 """
 from __future__ import annotations
 
@@ -19,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -27,6 +34,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# What bench/run.py reads of a checkout.
+BENCH_NEEDS = ("src", "bench", "tests", "BENCHMARK.json")
 
 
 def run_specs(spec: str) -> list[tuple[str, int, bool]]:
@@ -69,6 +79,9 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "what": f"bench/run.py result lines, parent commit {commit} and this change, "
                 "each side run from its own checkout",
+        "checkouts": "sibling copies <tmp>/parent (git archive) and <tmp>/change (src, bench, "
+                     "tests and BENCHMARK.json of the working tree), so that neither side's "
+                     "own peak RSS moves with where its tree sits",
         "command": f"python3 bench/run.py --workload <workload> --seed <seed> "
                    f"--seconds {seconds:g} --trace <trace>",
         "trace": "0 unless a record says \"trace\": 1",
@@ -79,13 +92,19 @@ def main(argv: list[str] | None = None) -> int:
     }
     out = Path(args.out)
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp) / "parent"
+        parent, change = Path(tmp) / "parent", Path(tmp) / "change"
         parent.mkdir()
         archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True,
                                  check=True)
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        skip = shutil.ignore_patterns("__pycache__", ".bench_work")
+        for name in BENCH_NEEDS:
+            if (ROOT / name).is_dir():
+                shutil.copytree(ROOT / name, change / name, ignore=skip)
+            else:
+                shutil.copy2(ROOT / name, change / name)
         for workload, seed, trace in (run for spec in args.runs for run in spec):
-            sides = [("parent", parent), ("change", ROOT)]
+            sides = [("parent", parent), ("change", change)]
             for side, checkout in sides if seed % 2 else sides[::-1]:
                 result = bench(checkout, workload, seed, seconds, trace)
                 record = {"side": side, "workload": workload, "seed": seed}
