@@ -67,6 +67,7 @@ from .touchstone import (
     UNIT_SCALE,
     TouchstoneFormat,
     _magnitude,
+    _parse_file,
     parse_touchstone,
     validate_passivity,
     write_touchstone,  # unused here; the per-layer trace (bench/layers.py) wraps it by name
@@ -311,22 +312,35 @@ def _write_svg(path: Path, x, series, xlabel: str, ylabel: str) -> None:
 MAX_INPUT_BYTES = 256 * 2**20
 
 
-def _read_text(path: str | Path) -> str:
+def _check_size(path: str | Path) -> None:
     size = Path(path).stat().st_size
     if size > MAX_INPUT_BYTES:
         raise InputError(
             f"{path}: {size} bytes exceeds the input budget of {MAX_INPUT_BYTES} bytes"
         )
+
+
+def _read_text(path: str | Path) -> str:
+    _check_size(path)
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _parse_input(path: str, parse, **kw):
-    """``parse`` of the input file's text; any ValueError it raises names the file."""
+def _parse_input(path: str, parse, from_path=None, **kw):
+    """``parse`` of the input file's text; any ValueError it raises names the file.
+
+    ``from_path(path)``, if given, is tried first, within the same budget, and the text
+    is read only when it returns None.
+    """
     if not Path(path).is_file():
         raise InputError(f"no such file: {path}")
+    if from_path is not None:
+        _check_size(path)
+        found = from_path(path)
+        if found is not None:
+            return found
     text = _read_text(path)
     try:
         return parse(text, **kw)
@@ -339,7 +353,7 @@ def _parse_input(path: str, parse, **kw):
 
 
 def _profile_from_file(path: str, cfg: RunConfig):
-    net = _parse_input(path, parse_touchstone)
+    net = _parse_input(path, parse_touchstone, from_path=_parse_file)
     for line in validate_passivity(net):
         warnings.warn(line)
     try:

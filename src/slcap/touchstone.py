@@ -176,8 +176,14 @@ def _network(fmt: TouchstoneFormat, table: np.ndarray) -> NetworkData:
         s.real, s.imag = a, b
     else:
         if fmt.encoding == "db":
-            levels = (a / 20.0).ravel().tolist()
-            a = np.fromiter(map(pow, repeat(10.0), levels), float, len(levels)).reshape(a.shape)
+            # A block of rows at a time, so the Python floats of one block are alive at once.
+            mag, rows = np.empty(a.shape), _cpus.BLOCK_ROWS
+            for lo in range(0, len(a), rows):
+                levels = (a[lo:lo + rows] / 20.0).ravel().tolist()
+                mag[lo:lo + rows] = np.fromiter(
+                    map(pow, repeat(10.0), levels), float, len(levels)
+                ).reshape(-1, a.shape[1])
+            a = mag
         angle = np.radians(b)
         s.real, s.imag = a * np.cos(angle), a * np.sin(angle)
     p = 1 if table.shape[1] == 3 else 2
@@ -186,14 +192,14 @@ def _network(fmt: TouchstoneFormat, table: np.ndarray) -> NetworkData:
     return NetworkData(np.ascontiguousarray(table[:, 0]), s, fmt.z0_ohm)
 
 
-def _read_array(text: str) -> tuple[TouchstoneFormat, np.ndarray] | None:
-    """The option line and the data table, the rows read in one numpy pass.
+def _read_table(lines) -> tuple[TouchstoneFormat, np.ndarray] | None:
+    """The option line and the data table of ``lines``, an iterator over a document's lines.
 
-    Returns None, for the line grammar to read, when the first significant line is not
-    an option line, or when numpy declines the rows or a check on them fails.  An option
+    The lines up to the first significant one are read here, and numpy reads the rest
+    in one pass.  Returns None, for the line grammar to read, when that line is not an
+    option line, or when numpy declines the rows or a check on them fails.  An option
     line is parsed, and rejected, as the line grammar would.
     """
-    lines = text.splitlines()
     for start, raw in enumerate(lines, start=1):
         line = raw.split("!", 1)[0].strip()
         if line:
@@ -206,7 +212,7 @@ def _read_array(text: str) -> tuple[TouchstoneFormat, np.ndarray] | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on a block with no rows
-            table = np.loadtxt(lines[start:], comments="!", ndmin=2)
+            table = np.loadtxt(lines, comments="!", ndmin=2)
     except ValueError:
         return None
     if table.shape[0] == 0 or table.shape[1] not in (3, 9) or not np.isfinite(table).all():
@@ -218,6 +224,37 @@ def _read_array(text: str) -> tuple[TouchstoneFormat, np.ndarray] | None:
         if not (table[0, 0] > 0 and (np.diff(table[:, 0]) > 0).all()):
             return None
     return fmt, table
+
+
+def _read_array(text: str) -> tuple[TouchstoneFormat, np.ndarray] | None:
+    """``_read_table`` of the lines of ``text``, as ``str.splitlines`` breaks them."""
+    return _read_table(iter(text.splitlines()))
+
+
+# ASCII line breaks of str.splitlines that a file's lines, and numpy, run through.
+_SPLITLINES_ONLY = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+_SCAN_BYTES = 2**20
+
+
+def _parse_file(path) -> NetworkData | None:
+    """The network of the Touchstone file at ``path``, its table read by numpy from the file.
+
+    The text is never held.  The file is read so only when its bytes are ASCII with none
+    of ``_SPLITLINES_ONLY``: then the lines of the file are those that
+    :func:`parse_touchstone` splits its text into, and the network is the same, bit for
+    bit.  Returns None otherwise, or when the table is declined or the file cannot be
+    read; ``parse_touchstone`` of the file's text then reads it, and names any fault.
+    """
+    try:
+        with open(path, "rb") as f:
+            while block := f.read(_SCAN_BYTES):
+                if not block.isascii() or any(c in block for c in _SPLITLINES_ONLY):
+                    return None
+        with open(path, encoding="ascii") as f:  # universal newlines: \n, \r\n and \r
+            found = _read_table(f)
+        return found and _network(*found)
+    except (OSError, ValueError):
+        return None
 
 
 def _read_lines(text: str) -> tuple[TouchstoneFormat, np.ndarray]:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from slcap import _cpus
+from slcap import _cpus, cli
 from slcap.cli import run_command
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -396,6 +396,17 @@ def test_every_output_file_passes_the_one_writer(tmp_path, monkeypatch):
     golden_outputs(tmp_path)
     files = [path for name in GOLDEN for path in (tmp_path / name).iterdir()]
     assert sorted(written) == sorted(files)
+
+
+def test_analyze_and_match_read_no_text(tmp_path, monkeypatch):
+    # Each Touchstone input is read from its file: the text is never held, and
+    # the bytes are those pinned.
+    def no_text(path):
+        raise AssertionError(f"{path} was read as text")
+
+    monkeypatch.setattr(cli, "_read_text", no_text)
+    names = [name for name in GOLDEN if name.startswith(("synth_", "analyze_", "match_"))]
+    assert golden_outputs(tmp_path, names) == {name: GOLDEN[name] for name in names}
 
 
 # The pattern runs read only their inputs, so they can run on their own.

@@ -24,8 +24,9 @@ from slcap import (
     validate_passivity,
     write_touchstone,
 )
+from slcap import cli
 from slcap.cli import run_command
-from slcap.touchstone import _parse_option_line, _read_array
+from slcap.touchstone import _parse_file, _parse_option_line, _read_array
 
 
 def one_port(doc: str) -> NetworkData:
@@ -476,17 +477,122 @@ def documents(draw):
     return end.join(lines) + draw(st.sampled_from(["", end])), ports, freqs[0] * UNIT_SCALE[unit]
 
 
+# The file reader against the text reader
+#
+# ``_parse_file`` reads a file's table without its text.  On every file it must
+# give the network that ``parse_touchstone`` makes of the text, bit for bit, or
+# decline; and the CLI, which reads the text on a decline, must end as it did
+# when it always read the text: the same network, or the same error text.
+
+# What str.splitlines breaks a line on and a file's lines, and numpy, run through.
+SPLITLINES_ONLY = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+FILE_CASES = {
+    **{f"merge_at_{ord(c):04x}": f"# GHz S RI R 50\n1 0.1 0.2 0.3 0.4{c}0.5 0.6 0.7 0.8\n"
+       for c in SPLITLINES_ONLY},
+    **{f"break_at_{ord(c):04x}": f"# Hz S RI R 50\n1 0.5 0{c}2 0.25 -0.5{c}"
+       for c in SPLITLINES_ONLY},
+    "lone_cr": "# Hz S MA R 50\r1 0.5 45\r2 0.25 -30\r",
+    "cr_lf_and_crlf": "# Hz S MA R 50\r\n1 0.5 45\r2 0.25 -30\n3 0.125 0\r\n! end\r",
+    "bom": "\ufeff# Hz S RI R 50\n1 0.5 0\n",
+    "not_utf8_after_the_option_line": b"# Hz S RI R 50\n1 0.5 0\n2 \xff 0\n",
+    "not_utf8_in_a_comment": b"# Hz S RI R 50\n1 0.5 0 ! \xe9\n",
+    "latin1_no_break_space": b"# Hz S RI R 50\n1 0.5 0\n2 0.25 0\xa0\n",
+}
+
+
+def scan_passes(doc) -> bool:
+    """Whether the file of ``doc`` is ASCII with no line break that only str.splitlines sees."""
+    data = doc if isinstance(doc, bytes) else doc.encode()
+    return data.isascii() and not any(c.encode() in data for c in SPLITLINES_ONLY)
+
+
+def cli_outcome(path: Path, **kw):
+    """What the CLI's reader makes of the file: the network's bits, or the error text."""
+    try:
+        net = cli._parse_input(str(path), parse_touchstone, **kw)
+    except cli.InputError as exc:
+        return str(exc)
+    return outcome(lambda _: net, None)
+
+
+def assert_same_from_file(doc):
+    """Write ``doc`` (text as UTF-8, or bytes) with its line breaks as they are, and compare.
+
+    Returns whether the file reader took the file rather than declining it.
+    """
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")  # neither reader lets a warning out
+        path = Path(tmp) / "doc.s2p"
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc, encoding="utf-8", newline="")
+        net = _parse_file(path)
+        if net is not None:
+            assert outcome(lambda _: net, None) == outcome(parse_touchstone, doc)
+        assert cli_outcome(path, from_path=_parse_file) == cli_outcome(path)
+    return net is not None
+
+
 class TestReaderPaths:
     @pytest.mark.parametrize("name", sorted(ARRAY_CASES))
     def test_array_path_matches_reference(self, name):
         assert _read_array(ARRAY_CASES[name]) is not None
         assert_same(ARRAY_CASES[name])
 
+    @pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+    def test_file_path_matches_text_path(self, name):
+        # Every array-path document that passes the scan is read from its file.
+        doc = ARRAY_CASES[name]
+        assert assert_same_from_file(doc) == scan_passes(doc)
+
     @pytest.mark.parametrize("name", sorted(DECLINED_CASES))
     def test_declined_text_matches_reference(self, name):
         assert _read_array(DECLINED_CASES[name]) is None
         parse_touchstone(DECLINED_CASES[name])
         assert_same(DECLINED_CASES[name])
+
+    @pytest.mark.parametrize("name", sorted(DECLINED_CASES))
+    def test_declined_file_is_read_as_text(self, name):
+        assert not assert_same_from_file(DECLINED_CASES[name])
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_case_file_matches_text(self, name):
+        assert_same_from_file(EDGE_CASES[name])
+
+    @pytest.mark.parametrize(
+        "doc", [doc for doc, _, _ in cases.MALFORMED_TOUCHSTONE],
+        ids=[f"case{i:02d}" for i in range(len(cases.MALFORMED_TOUCHSTONE))],
+    )
+    def test_malformed_file_matches_text(self, doc):
+        assert not assert_same_from_file(doc)
+
+    @pytest.mark.parametrize("name", sorted(FILE_CASES))
+    def test_file_case_matches_text(self, name):
+        doc = FILE_CASES[name]
+        assert assert_same_from_file(doc) == scan_passes(doc)
+
+    @pytest.mark.parametrize("code", range(128))
+    def test_every_ascii_character_in_a_file(self, code):
+        # Within a row and between rows: NUL, the other controls, DEL and the printable.
+        c = chr(code)
+        for doc in (f"# Hz S RI R 50\n1 0.5{c}0\n2 0.25 0\n",
+                    f"# Hz S RI R 50\n1 0.5 0{c}2 0.25 0\n",
+                    f"# Hz S RI R 50\n1 0.1 0.2 0.3 0.4{c}0.5 0.6 0.7 0.8\n"):
+            assert_same_from_file(doc)
+
+    def test_form_feed_merge_is_not_read_as_one_row(self, tmp_path):
+        # numpy runs through the form feed and would read one 9-column row;
+        # the line grammar sees two rows, of 5 and 4 columns.
+        doc = FILE_CASES["merge_at_000c"]
+        path = tmp_path / "merged.s2p"
+        path.write_text(doc, encoding="utf-8", newline="")
+        assert _parse_file(path) is None
+        message = "line 2: expected 3 columns (1-port) or 9 columns (2-port), got 5"
+        with pytest.raises(TouchstoneParseError, match=f"^{re.escape(message)}$"):
+            parse_touchstone(doc)
+        assert cli_outcome(path, from_path=_parse_file) == f"{path}: {message}"
 
     @pytest.mark.parametrize("name", sorted(EDGE_CASES))
     def test_edge_case_matches_reference(self, name):
@@ -514,6 +620,22 @@ class TestReaderPaths:
     @given(documents())
     def test_generated_documents_match_reference(self, document):
         assert_same(document[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(documents())
+    def test_generated_files_match_text(self, document):
+        assert_same_from_file(document[0])
+
+    def test_declined_file_text_is_read_once(self, tmp_path, monkeypatch):
+        reads = []
+        read_text = cli._read_text
+        monkeypatch.setattr(cli, "_read_text", lambda path: reads.append(path) or read_text(path))
+        path = tmp_path / "declined.s1p"
+        path.write_text(DECLINED_CASES["underscore_digits"], encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run_command(["--out-dir", str(tmp_path / "out"), "--fixture", "reflection",
+                                "analyze", str(path)])
+        assert (code, reads) == (0, [str(path)])
 
 
 @settings(max_examples=40, deadline=None)

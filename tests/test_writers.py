@@ -595,8 +595,10 @@ def test_forked_write_leaves_no_output_twice_and_no_file(tmp_path):
 
 # Every fork path once, in a process where a ResourceWarning is an error: three
 # ranges of a CSV, a range whose child fails, a refused spill file, a forked
-# parse of two tiny logs, and a report and an SVG written with no blocks.  An
-# unclosed file or an unreaped child shows as stderr text or as a failed assert.
+# parse of two tiny logs, and a report and an SVG written with no blocks.  Two
+# analyze runs open their Touchstone files: one read from the file, one declined
+# and read as text.  An unclosed file or an unreaped child shows as stderr text
+# or as a failed assert.
 LEAK_CHECK = """
 import os, sys, tempfile
 from pathlib import Path
@@ -628,6 +630,11 @@ for name in ("novel.log", "baseline.log"):
                                     for m in range(20)))
 argv = ["--svg", "--out-dir", str(out), "rssi", str(out / "novel.log"), str(out / "baseline.log")]
 assert cli.run_command(argv) == 0
+for name, k in (("plain", "{}"), ("declined", "{}_0")):
+    path = out / f"{name}.s1p"
+    path.write_text("# Hz S RI R 50\\n" + "".join(f"{k.format(m)} 0.{m} 0.5\\n" for m in range(1, 6)))
+    argv = ["--fixture", "reflection", "--out-dir", str(out / name), "analyze", str(path)]
+    assert cli.run_command(argv) == 0
 try:
     os.waitpid(-1, os.WNOHANG)
     sys.exit("a child is left unreaped")
@@ -647,8 +654,9 @@ def test_every_fork_path_leaves_no_file_open_and_no_child(tmp_path):
     # rssi: the baseline parse, then two forked ranges of each of its three 20-row CSVs.
     assert int(proc.stdout.splitlines()[-1]) == 2 + 1 + 3 * 2
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "baseline.log", "comparison.csv", "comparison.txt", "failed_child.txt", "no_spill.txt",
-        "novel.log", "rssi.svg", "rssi_baseline.csv", "rssi_novel.csv",
+        "baseline.log", "comparison.csv", "comparison.txt", "declined", "declined.s1p",
+        "failed_child.txt", "no_spill.txt", "novel.log", "plain", "plain.s1p", "rssi.svg",
+        "rssi_baseline.csv", "rssi_novel.csv",
     ]
 
 

@@ -2,7 +2,8 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/own_rss.py --workload fieldlog --seed 1 --reps 7 [--parent HEAD]
+    python3 tools/own_rss.py --workload fieldlog --seed 1 --reps 7 [--parent HEAD] \
+        [--scale stress]
 
 ``bench/run.py`` spawns every command from its own process.  A child started with
 ``posix_spawn`` (a vfork) takes its parent's high-water RSS as the start of its own
@@ -17,7 +18,10 @@ there.  With ``--parent``, that commit's ``src/`` is exported with ``git archive
 each repetition.  The two trees are siblings with paths of the same length, because where a
 tree sits alone moves own peak RSS by more than the bench's 0.1 MB bound.  Each command's
 median ``ru_maxrss`` is printed per tree, then one JSON line.  Outputs are not checked;
-``bench/run.py`` does that.
+``bench/run.py`` does that.  ``--scale stress`` first sets the sizes of ``bench/workloads.py``,
+in this process only, to the stress scale: 200,000 sweep and synth points and log readings,
+and a 0.25 degree phi step.  No file under ``bench/`` changes, and the outputs of a stress
+run are not checked either.
 """
 from __future__ import annotations
 
@@ -32,6 +36,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# ``--scale stress``: the values given to these ``bench/workloads.py`` sizes.
+STRESS = {"SWEEP_POINTS": 200_000, "SYNTH_POINTS": 200_000, "LOG_READINGS": 200_000,
+          "PHI_STEP_DEG": 0.25}
 
 # Run as ``python -S -c HELPER`` with the job as JSON on stdin; writes
 # {tree: {command: [[exit code, ru_maxrss KiB], ...]}} to stdout.
@@ -58,13 +66,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--reps", type=int, default=7)
     parser.add_argument("--parent", help="also run this commit's src/, such as HEAD")
+    parser.add_argument("--scale", choices=("seed", "stress"), default="seed")
     args = parser.parse_args(argv)
 
     import numpy as np
 
     sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
     from run import _load_oracles
     from workloads import WORKLOADS
+
+    if args.scale == "stress":
+        for name, value in STRESS.items():
+            if not hasattr(workloads, name):
+                parser.error(f"bench/workloads.py has no size {name}")
+            setattr(workloads, name, value)
 
     if args.workload not in WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; one of {', '.join(WORKLOADS)}")
@@ -108,7 +124,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"over {len(runs)}, range {min(kib for _, kib in runs) / 1024:.2f}-"
                   f"{max(kib for _, kib in runs) / 1024:.2f}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "reps": args.reps,
-                      "parent": args.parent, "median_own_peak_rss_mb": medians}))
+                      "parent": args.parent, "scale": args.scale,
+                      "median_own_peak_rss_mb": medians}))
     return 0
 
 
