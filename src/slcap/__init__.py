@@ -5,25 +5,31 @@ radiator: Touchstone S-parameter ingestion, impedance and dissipation-factor
 analysis, matching-network synthesis with VSWR evaluation, array far-field
 patterns with directivity and lobe structure, and statistical comparison of
 received-signal field logs.
+
+Each numeric module, and each of its public names, is imported on first access
+(PEP 562), so that the command line loads only the modules a command runs.
 """
 
 __version__ = "0.1.0"
 
-from . import impedance, matching, metrics, radiation, rssi, touchstone
-from .impedance import *  # noqa: F403
-from .matching import *  # noqa: F403
-from .metrics import *  # noqa: F403
-from .radiation import *  # noqa: F403
-from .rssi import *  # noqa: F403
-from .touchstone import *  # noqa: F403
+# The numeric modules, in the order of __all__.
+_MODULES = ("touchstone", "impedance", "metrics", "matching", "radiation", "rssi")
 
-# Each module's __all__ is the one list of its public names.
-__all__ = [
-    "__version__",
-    *touchstone.__all__,
-    *impedance.__all__,
-    *metrics.__all__,
-    *matching.__all__,
-    *radiation.__all__,
-    *rssi.__all__,
-]
+
+def __getattr__(name: str):
+    from importlib import import_module, util
+
+    if name in _MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name == "__all__":  # each module's __all__ is the one list of its public names
+        value = ["__version__", *(n for m in _MODULES for n in __getattr__(m).__all__)]
+    else:
+        # A private name, or another submodule, is not this function's to import: the
+        # import system loads such a submodule itself once this raises.
+        owners = () if name.startswith("_") or util.find_spec(f"{__name__}.{name}") else _MODULES
+        owner = next((m for m in map(__getattr__, owners) if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value

@@ -18,61 +18,51 @@ import sys
 import warnings
 from dataclasses import dataclass, fields
 from functools import partial
+from importlib import import_module
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, _cpus
-from .impedance import (
-    FIXTURE_MODES,
-    REFLECTION,
-    SERIES_THROUGH,
-    ImpedanceProfile,
-    SeriesRlcModel,
-    impedance_at,
-    impedance_profile,
-    synthesize_series_rlc,
-)
-from .matching import (
-    L_SECTION,
-    SERIES_RESISTOR,
-    apply_match,
-    design_l_section,
-    design_series_resistive_match,
-    power_split_report,
-    vswr_profile,
-)
-from .metrics import REACTANCE_EPSILON, metrics_report
-from .radiation import (
-    directivity,
-    evaluate_pattern,
-    find_lobes,
-    gain,
-    grid_shape,
-    make_grid,
-    parse_layout,
-    polar_cut,
-)
+from ._options import (ENCODINGS, FIXTURE_MODES, REACTANCE_EPSILON, REFLECTION,
+                       SERIES_RESISTOR, SERIES_THROUGH, TOPOLOGIES, UNIT_SCALE, grid_shape)
 from .report import num, report_text
-from .rssi import (
-    check_dbm_mapping,
-    compare_datasets,
-    dbm_levels,
-    parse_at_csq_log,
-    parse_rssi_csv,
-)
-from .svgplot import line_plot_svg
-from .touchstone import (
-    ENCODINGS,
-    UNIT_SCALE,
-    TouchstoneFormat,
-    _magnitude,
-    _parse_file,
-    parse_touchstone,
-    validate_passivity,
-    write_touchstone,  # unused here; the per-layer trace (bench/layers.py) wraps it by name
-    write_touchstone_file,
-)
+
+# What this module calls of each numeric module.  None is imported with this module:
+# each command binds its modules' names here when it runs (``_bind``), and any other
+# reader, such as the per-layer trace (bench/layers.py) or a test, on first access
+# (PEP 562).  So --help, --version and usage errors load no numpy.
+_CALLEES = {
+    "touchstone": ("TouchstoneFormat", "_magnitude", "_parse_file", "parse_touchstone",
+                   "validate_passivity", "write_touchstone_file",
+                   "write_touchstone"),  # unused here; the per-layer trace wraps it by name
+    "impedance": ("SeriesRlcModel", "impedance_at", "impedance_profile", "synthesize_series_rlc"),
+    "metrics": ("metrics_report",),
+    "matching": ("apply_match", "design_l_section", "design_series_resistive_match",
+                 "power_split_report", "vswr_profile"),
+    "radiation": ("directivity", "evaluate_pattern", "find_lobes", "gain", "make_grid",
+                  "parse_layout", "polar_cut"),
+    "rssi": ("check_dbm_mapping", "compare_datasets", "dbm_levels", "parse_at_csq_log",
+             "parse_rssi_csv"),
+    "svgplot": ("line_plot_svg",),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import numpy as ``np`` and ``modules``, and bind here each of their names that this
+    module calls, except where a name is bound already (by a tracer's wrapper, say)."""
+    globals().setdefault("np", import_module("numpy"))
+    for module in modules:
+        found = import_module(f".{module}", __package__)
+        for name in _CALLEES[module]:
+            globals().setdefault(name, getattr(found, name))
+
+
+def __getattr__(name: str):
+    for module, names in _CALLEES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = ["RunConfig", "InputError", "load_config", "run_command", "main"]
 
@@ -199,7 +189,8 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 def _csv_text(column) -> list[str]:
     """A text column's cells as ``csv.writer`` writes them: quoted when they hold , " CR or LF."""
     cells = list(map(str, column))
-    if not any(ch in "".join(cells) for ch in ',"\r\n'):
+    joined = "".join(cells)
+    if not any(ch in joined for ch in ',"\r\n'):
         return cells
     return [
         '"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\r\n') else c
@@ -213,6 +204,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     numpy arrays print as ``num`` does (``%.9g``); any other column is text.
     Each block of ``_cpus.BLOCK_ROWS`` rows is one ``%`` format over a flat tuple of its cells.
     """
+    _bind()
     columns = [c if isinstance(c, np.ndarray) else _csv_text(c) for c in columns]
     k = len(columns)
     n_rows = len(columns[0]) if columns else 0
@@ -231,6 +223,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 def _db_below_peak(values: np.ndarray) -> np.ndarray:
     """10 log10(values / max(values)); zero intensity reads -inf."""
+    _bind()
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(values / values.max())
 
@@ -248,6 +241,7 @@ def write_metrics_csv(path: Path, metrics) -> None:
 
 
 def write_vswr_csv(path: Path, vswr) -> None:
+    _bind("touchstone")
     g = vswr.gamma
     columns = [vswr.frequencies_hz, g.real, g.imag, _magnitude(g), vswr.vswr]
     _write_csv(path, ["freq_hz", "re_gamma", "im_gamma", "mag_gamma", "vswr"], columns)
@@ -263,6 +257,7 @@ def write_pattern_csv(path: Path, pattern) -> None:
     The theta rows are the blocks of ``_cpus.write_blocks``, so they may be formatted
     on several CPUs.
     """
+    _bind()
     u, u_db = pattern.u, _db_below_peak(pattern.u)
     # Each cell's text after its theta: ",<phi>,%.9g,%.9g\r\n" (no %.9g text holds a %).
     tails = ["," + "%.9g" % p + ",%.9g,%.9g\r\n" for p in np.degrees(pattern.phi_rad).tolist()]
@@ -277,10 +272,12 @@ def write_pattern_csv(path: Path, pattern) -> None:
 
 
 def write_cut_csv(path: Path, angles_rad: np.ndarray, values: np.ndarray) -> None:
+    _bind()
     _write_csv(path, ["theta_deg", "u_db"], [np.degrees(angles_rad), _db_below_peak(values)])
 
 
 def write_lobes_csv(path: Path, lobes) -> None:
+    _bind()
     columns = [
         np.degrees([lobe.angle_rad for lobe in lobes]),
         np.array([lobe.level for lobe in lobes], dtype=float),
@@ -292,6 +289,7 @@ def write_lobes_csv(path: Path, lobes) -> None:
 
 def write_rssi_csv(path: Path, dataset) -> None:
     """One row per reading; the timestamps are ``iso_timestamps``, a parsed log's checked text."""
+    _bind("rssi")
     columns = [dataset.iso_timestamps, dataset.rssi, dbm_levels(dataset.rssi)]
     _write_csv(path, ["timestamp", "rssi", "dbm"], columns)
 
@@ -305,6 +303,7 @@ def _emit_report(path: Path, rows: list[tuple[str, str]]) -> None:
 
 def _write_svg(path: Path, x, series, xlabel: str, ylabel: str) -> None:
     """Write ``line_plot_svg``'s plot; the name is read on ``cli``, where the trace wraps it."""
+    _bind("svgplot")
     _cpus.write_blocks(path, line_plot_svg(x, series, xlabel=xlabel, ylabel=ylabel), None, 0)
 
 
@@ -363,6 +362,7 @@ def _profile_from_file(path: str, cfg: RunConfig):
 
 
 def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
+    _bind("touchstone", "impedance", "metrics")
     profile = _profile_from_file(args.s_file, cfg)
     metrics = metrics_report(
         profile,
@@ -401,6 +401,7 @@ _L_SECTION_ROWS = ("series_x_ohm", "shunt_x_ohm", "series_l_h", "series_c_f",
 
 
 def cmd_match(args: argparse.Namespace, cfg: RunConfig) -> int:
+    _bind("touchstone", "impedance", "matching")
     profile = _profile_from_file(args.s_file, cfg)
     f = profile.frequencies_hz
     if not f[0] <= args.f_design <= f[-1]:
@@ -455,6 +456,7 @@ def cmd_match(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_pattern(args: argparse.Namespace, cfg: RunConfig) -> int:
+    _bind("radiation")
     layout = _parse_input(args.layout, parse_layout)
     if not 0.0 <= args.efficiency <= 1.0:
         raise InputError(f"--efficiency must be within [0, 1], got {args.efficiency:g}")
@@ -522,6 +524,7 @@ def _area(text: str) -> float:
 
 
 def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
+    _bind("rssi")
     parse = parse_at_csq_log if args.format == "at" else parse_rssi_csv
     # The baseline log may be parsed in a forked process; a missing one is _parse_input's error.
     size = Path(args.baseline_log).stat().st_size if Path(args.baseline_log).is_file() else 0
@@ -556,7 +559,8 @@ def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
 MAX_SWEEP_POINTS = 1_000_000
 
 
-def _sweep(spec: str) -> np.ndarray:
+def _sweep(spec: str) -> tuple[float, float, int]:
+    """``start:stop:points``, checked; ``cmd_synth`` builds the sweep, so parsing loads no numpy."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("sweep must be start:stop:points")
@@ -572,15 +576,16 @@ def _sweep(spec: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(
             f"{points} sweep points exceed the budget of {MAX_SWEEP_POINTS}"
         )
-    return np.linspace(start, stop, points)
+    return start, stop, points
 
 
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
+    _bind("touchstone", "impedance")
     try:
         model = SeriesRlcModel(r_ohm=args.r, l_h=args.l, c_f=args.c)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    net = synthesize_series_rlc(model, args.sweep, z0=cfg.z0_ohm, mode=cfg.fixture)
+    net = synthesize_series_rlc(model, np.linspace(*args.sweep), z0=cfg.z0_ohm, mode=cfg.fixture)
     fmt = TouchstoneFormat(unit=args.unit, encoding=args.encoding, z0_ohm=cfg.z0_ohm)
     default_name = "synth.s1p" if cfg.fixture == REFLECTION else "synth.s2p"
     out_path = Path(cfg.out_dir) / (args.out or default_name)
@@ -629,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-design", type=float, required=True, help="design frequency in Hz")
     p.add_argument(
         "--topology",
-        choices=(SERIES_RESISTOR, L_SECTION),
+        choices=TOPOLOGIES,
         default=SERIES_RESISTOR,
     )
     p.add_argument(

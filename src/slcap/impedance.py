@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._frozen import check_non_negative, check_positive, freeze_arrays
+from ._frozen import freeze_arrays
+from ._options import (FIXTURE_MODES, REFLECTION, SERIES_THROUGH, SHUNT_THROUGH,
+                       check_non_negative, check_positive)
 from .touchstone import NetworkData, _check_sweep, _magnitude
 
 __all__ = [
@@ -33,12 +35,6 @@ __all__ = [
     "impedance_at",
     "synthesize_series_rlc",
 ]
-
-# Fixture conventions for de-embedding a device impedance from S-parameters.
-REFLECTION = "reflection"
-SERIES_THROUGH = "series-through"
-SHUNT_THROUGH = "shunt-through"
-FIXTURE_MODES = (REFLECTION, SERIES_THROUGH, SHUNT_THROUGH)
 
 _NEGATIVE_R_TOL = -1e-9
 

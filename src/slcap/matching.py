@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import check_non_negative, check_positive, freeze_arrays
+from ._frozen import freeze_arrays
+from ._options import L_SECTION, SERIES_RESISTOR, TOPOLOGIES, check_non_negative, check_positive
 from .impedance import ImpedanceProfile, _reflection, impedance_at
 from .touchstone import _magnitude
 
@@ -32,10 +33,6 @@ __all__ = [
     "vswr_profile",
     "power_split_report",
 ]
-
-SERIES_RESISTOR = "series-r"
-L_SECTION = "l-section"
-TOPOLOGIES = (SERIES_RESISTOR, L_SECTION)
 
 # Display cap for the ratio as |Gamma| -> 1.
 VSWR_CAP = 1e6

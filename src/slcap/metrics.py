@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import check_positive, freeze_arrays
+from ._frozen import freeze_arrays
+from ._options import REACTANCE_EPSILON, check_positive
 from .impedance import ImpedanceProfile
 
 __all__ = [
@@ -24,9 +25,6 @@ __all__ = [
     "low_impedance_bandwidth",
     "metrics_report",
 ]
-
-# |X| below this (ohms) makes DF = R/|X| meaningless; such points are flagged.
-REACTANCE_EPSILON = 1e-3
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._cpus import _run_blocks
-from ._frozen import check_positive, freeze_arrays
+from ._frozen import freeze_arrays
+from ._options import check_positive, grid_shape
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -45,8 +46,6 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
-# Largest (theta, phi) grid accepted, checked before any grid is built.
-MAX_GRID_CELLS = 10_000_000
 
 ISOTROPIC = "isotropic"
 HERTZIAN_DIPOLE = "hertzian-dipole"
@@ -221,35 +220,6 @@ class Lobe:
     level_db: float
     is_main: bool
     degenerate: bool = False
-
-
-def _steps(step_deg: float, span_deg: float) -> int:
-    if span_deg / step_deg > MAX_GRID_CELLS:
-        raise ValueError(
-            f"a {step_deg:g} deg step exceeds the budget of {MAX_GRID_CELLS} grid cells"
-        )
-    n = round(span_deg / step_deg)
-    if abs(n * step_deg - span_deg) > 1e-9:
-        raise ValueError("grid steps must divide 180 and 360 degrees evenly")
-    return n
-
-
-def grid_shape(theta_step_deg: float = 1.0, phi_step_deg: float = 1.0) -> tuple[int, int]:
-    """Sizes of :func:`make_grid`'s theta and phi grids, checked without building them.
-
-    Raises ValueError for a step that is not positive and finite or does not
-    divide 180 (theta) or 360 (phi) degrees, for a single phi point, and for a
-    grid of over ``MAX_GRID_CELLS``.
-    """
-    check_positive(theta_step_deg=theta_step_deg, phi_step_deg=phi_step_deg)
-    n_theta, n_phi = _steps(theta_step_deg, 180.0) + 1, _steps(phi_step_deg, 360.0)
-    if n_phi < 2:
-        raise ValueError("the phi step must be at most 180 degrees")
-    if n_theta * n_phi > MAX_GRID_CELLS:
-        raise ValueError(
-            f"a {n_theta} x {n_phi} grid exceeds the budget of {MAX_GRID_CELLS} cells"
-        )
-    return n_theta, n_phi
 
 
 def make_grid(theta_step_deg: float = 1.0, phi_step_deg: float = 1.0):

@@ -20,7 +20,7 @@ from itertools import count
 
 import numpy as np
 
-from ._frozen import check_positive
+from ._options import check_positive
 from .report import num, report_text
 
 __all__ = [

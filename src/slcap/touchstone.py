@@ -16,7 +16,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import _cpus
-from ._frozen import check_positive, freeze_arrays
+from ._frozen import freeze_arrays
+from ._options import ENCODINGS, UNIT_SCALE, check_positive
 
 __all__ = [
     "NetworkData",
@@ -30,9 +31,7 @@ __all__ = [
     "UNIT_SCALE",
 ]
 
-UNIT_SCALE = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _UNIT_DISPLAY = {"hz": "Hz", "khz": "kHz", "mhz": "MHz", "ghz": "GHz"}
-ENCODINGS = ("ri", "ma", "db")
 _PARAMETER_KINDS = ("s", "y", "z", "g", "h")
 # Each option-line slot, named as its duplicate-token error names it, and its tokens.
 _OPTION_SLOTS = {

@@ -2,6 +2,8 @@ import ast
 import importlib
 import inspect
 import json
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -13,6 +15,9 @@ import cases
 from slcap import TouchstoneFormat, parse_touchstone, write_touchstone
 from slcap import cli
 from slcap.cli import load_config, run_command
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = ("analyze", "match", "pattern", "rssi", "synth")
 
 
 def run(*argv: str) -> int:
@@ -790,6 +795,18 @@ def test_bad_input_exit_code_and_message(tmp_path, capsys, name):
     assert named in err
 
 
+def traced_names() -> list[tuple[str, str, str]]:
+    """``WRAPPED`` of ``bench/layers.py``, read from the file's syntax tree."""
+    path = ROOT / "bench" / "layers.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (wrapped,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]
+    ]
+    return wrapped
+
+
 def test_traced_names_resolve():
     """Each function that the per-layer trace (``bench/layers.py``) patches by name exists.
 
@@ -797,13 +814,7 @@ def test_traced_names_resolve():
     imported.  It names ``cli.write_touchstone``, which ``cli`` imports only for the
     trace; that import goes when the trace wraps functions on their own modules.
     """
-    path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    (wrapped,) = [
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]
-    ]
+    wrapped = traced_names()
     missing = [
         (module, name)
         for module, name, _ in wrapped
@@ -812,3 +823,122 @@ def test_traced_names_resolve():
     assert wrapped and missing == []
     # The trace reads the size of the file at _write_csv's first argument.
     assert list(inspect.signature(cli._write_csv).parameters) == ["path", "header", "columns"]
+
+
+def fresh(script: str, *args: str) -> str:
+    """Run ``script`` in a fresh interpreter with ``PYTHONPATH=src``; its stdout's last line."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.splitlines()[-1]
+
+
+# Runs ``python -m slcap`` with the given argv, then prints its exit code and the
+# numpy and slcap modules it loaded.
+LOADED = """
+import json, runpy, sys
+sys.argv[:] = ["slcap", *sys.argv[1:]]
+try:
+    runpy.run_module("slcap", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.partition(".")[0] == "slcap")
+print(json.dumps([code, loaded]))
+"""
+FRONT_END = {"slcap", "slcap._cpus", "slcap._options", "slcap.cli", "slcap.report"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["--version"], *([command, "--help"] for command in COMMANDS),
+    ["match", "x.s2p"],  # no --f-design: a usage error
+], ids=" ".join)
+def test_help_version_and_usage_errors_load_no_numpy(argv):
+    code, loaded = json.loads(fresh(LOADED, *argv))
+    assert code == (0 if argv[-1] in ("--help", "--version") else 2)
+    assert set(loaded) == FRONT_END
+
+
+# The slcap modules each command loads beyond the front end, as README "Start-up" lists
+# them; --svg adds svgplot.
+COMMAND_MODULES = {
+    "analyze": {"touchstone", "impedance", "metrics", "_frozen"},
+    "match": {"touchstone", "impedance", "matching", "_frozen"},
+    "pattern": {"radiation", "_frozen"},
+    "rssi": {"rssi"},
+    "synth": {"touchstone", "impedance", "_frozen"},
+}
+
+
+def golden_runs(root: Path) -> dict[str, list[str]]:
+    """``tests/test_golden.py``'s runs, with their inputs written under ``root``."""
+    from test_golden import INPUTS, runs
+
+    (root / "inputs").mkdir()
+    for name, text in INPUTS.items():
+        (root / "inputs" / name).write_text(text)
+    return runs(root)
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    for run_name, argv in golden_runs(tmp_path).items():
+        command = run_name.partition("_")[0]
+        code, loaded = json.loads(fresh(LOADED, "--out-dir", str(tmp_path / run_name), *argv))
+        expected = COMMAND_MODULES[command] | ({"svgplot"} if "--svg" in argv else set())
+        assert code == 0
+        assert set(loaded) == FRONT_END | {"numpy"} | {f"slcap.{m}" for m in expected}, run_name
+
+
+# Wraps each name given on cli before any command runs, as the per-layer trace
+# (bench/layers.py) does, runs each golden argv of the JSON list given, and prints the
+# names that were called during each.
+TRACED = """
+import contextlib, io, json, sys
+import slcap.cli as cli
+
+called = set()
+
+def wrap(fn, name):
+    def wrapper(*args, **kwargs):
+        called.add(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name in json.loads(sys.argv[1]):
+    setattr(cli, name, wrap(getattr(cli, name), name))
+fired = []
+for argv in json.loads(sys.argv[2]):
+    called.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run_command(argv) == 0
+    fired.append(sorted(called))
+print(json.dumps(fired))
+"""
+# The traced names each command calls in its golden runs, as pinned before the
+# numeric modules were imported on demand.
+TRACED_BY_COMMAND = {
+    "analyze": {"run_command", "validate_passivity", "impedance_profile", "metrics_report",
+                "write_impedance_csv", "write_metrics_csv", "_write_csv", "line_plot_svg"},
+    "match": {"run_command", "validate_passivity", "impedance_profile", "impedance_at",
+              "design_series_resistive_match", "design_l_section", "apply_match",
+              "vswr_profile", "power_split_report", "write_vswr_csv", "write_impedance_csv",
+              "_write_csv", "line_plot_svg"},
+    "pattern": {"run_command", "make_grid", "evaluate_pattern", "directivity", "gain",
+                "find_lobes", "polar_cut", "write_pattern_csv", "write_cut_csv",
+                "write_lobes_csv", "_write_csv", "line_plot_svg"},
+    "rssi": {"run_command", "parse_at_csq_log", "parse_rssi_csv", "compare_datasets",
+             "write_rssi_csv", "_write_csv", "line_plot_svg"},
+    "synth": {"run_command", "synthesize_series_rlc"},
+}
+
+
+def test_trace_sees_each_commands_calls(tmp_path):
+    """A name bound on ``cli`` when a command runs must not replace the trace's wrapper."""
+    names = [name for module, name, _ in traced_names() if module == "cli"]
+    runs = golden_runs(tmp_path)
+    argvs = [["--out-dir", str(tmp_path / name), *argv] for name, argv in runs.items()]
+    fired = json.loads(fresh(TRACED, json.dumps(names), json.dumps(argvs)))
+    by_command = {command: set() for command in TRACED_BY_COMMAND}
+    for run_name, called in zip(runs, fired):
+        by_command[run_name.partition("_")[0]].update(called)
+    assert by_command == TRACED_BY_COMMAND

@@ -17,7 +17,11 @@ and seed, ``python3 bench/run.py --workload W --seed S --seconds T [--trace 1]``
 runs once from each copy, odd seeds parent first and even seeds the change
 first; T is ``run_seconds`` from ``BENCHMARK.json``.  The last line each run
 prints, one JSON object, is kept unedited, and the file is rewritten after
-every run, so an interrupted session keeps what it measured.
+every run, so an interrupted session keeps what it measured.  Before the first
+run, the header records each side's interpreter floor: the medians of 9 spawns
+each of ``python -c pass`` and ``python -c "import numpy"`` under the
+environment ``bench/run.py`` gives its commands, so that a start-up figure shows
+how much of it is the interpreter and numpy.
 """
 from __future__ import annotations
 
@@ -26,9 +30,11 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +43,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # What bench/run.py reads of a checkout.
 BENCH_NEEDS = ("src", "bench", "tests", "BENCHMARK.json")
+
+# The interpreter floor: header key -> ``python -c`` program, each timed over FLOOR_SPAWNS.
+FLOOR = {"python_pass_s": "pass", "import_numpy_s": "import numpy"}
+FLOOR_SPAWNS = 9
 
 
 def run_specs(spec: str) -> list[tuple[str, int, bool]]:
@@ -65,6 +75,26 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool)
     return json.loads(lines[-1])
 
 
+def interpreter_floor(checkouts: dict[str, Path]) -> dict:
+    """Per side, the median wall seconds of each ``FLOOR`` program, spawned in turn.
+
+    The environment is the one ``bench/run.py`` gives its commands: this process's,
+    with the side's ``src`` first on ``PYTHONPATH``.
+    """
+    times = {side: {key: [] for key in FLOOR} for side in checkouts}
+    for _ in range(FLOOR_SPAWNS):
+        for side, checkout in checkouts.items():
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(checkout / "src"), env.get("PYTHONPATH", "")) if p)
+            for key, program in FLOOR.items():
+                start = time.perf_counter()
+                subprocess.run([sys.executable, "-c", program], cwd=checkout, env=env, check=True)
+                times[side][key].append(time.perf_counter() - start)
+    return {side: {key: round(statistics.median(spans), 4) for key, spans in found.items()}
+            for side, found in times.items()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against (default HEAD)")
@@ -88,6 +118,10 @@ def main(argv: list[str] | None = None) -> int:
         "order": "pairs alternate: odd seeds run the parent first, even seeds the change first",
         "machine": f"{os.cpu_count()}-CPU {platform.machine()}, "
                    f"Python {platform.python_version()}, numpy {np.__version__}",
+        "interpreter_floor_what": f"per side, median wall seconds of {FLOOR_SPAWNS} spawns "
+                                  "each of python -c 'pass' and python -c 'import numpy', sides "
+                                  "alternating, under the environment bench/run.py gives its "
+                                  "commands",
         "runs": [],
     }
     out = Path(args.out)
@@ -103,6 +137,8 @@ def main(argv: list[str] | None = None) -> int:
                 shutil.copytree(ROOT / name, change / name, ignore=skip)
             else:
                 shutil.copy2(ROOT / name, change / name)
+        doc["interpreter_floor"] = interpreter_floor({"parent": parent, "change": change})
+        _write(out, doc)
         for workload, seed, trace in (run for spec in args.runs for run in spec):
             sides = [("parent", parent), ("change", change)]
             for side, checkout in sides if seed % 2 else sides[::-1]:
