@@ -1,15 +1,15 @@
 """Independent blocks of work spread over the CPUs in the affinity set, with no setting.
 
 ``_run_blocks`` runs numeric blocks on threads (numpy releases the GIL).
-``write_blocks`` writes every output file slcap writes, the tables (each CSV,
-``pattern.csv`` and the Touchstone file), the reports and the SVGs, and may
-format a table's blocks in forked processes (formatting holds the GIL).
-``parse_both`` parses the ``rssi`` command's baseline log in a forked process
-while the caller parses the novel log.  Each forked process is a ``_Child``,
-which spills its bytes into an unnamed binary temporary file, and each gives
-the same result, or error, as the plain serial calls, at any CPU count.
-Forking is POSIX-only; the children's memory is in no figure that slcap
-reports.
+``fan_out`` runs ranges of items in forked processes, for its two callers:
+``write_blocks``, which writes every output file slcap writes (each CSV,
+``pattern.csv`` and the Touchstone file, the reports and the SVGs) and may
+format a table's blocks in ranges, and the ``rssi`` command, which may parse
+its baseline log while it parses the novel log.  Both follow one rule for how
+many ranges pay.  Each forked process is a ``_Child``, which spills its bytes
+into an unnamed binary temporary file, and each gives the same result, or
+error, as the plain serial calls, at any CPU count.  Forking is POSIX-only;
+the children's memory is in no figure that slcap reports.
 """
 from __future__ import annotations
 
@@ -82,9 +82,9 @@ def _fork() -> int:
 # a 1-degree pattern grid (57 ms to format) and faster on a 0.8-degree one (89 ms).
 _CHILD_S = 0.02
 
-# Log text parsed per second, to estimate a parse's time from its file's size: the
+# Log text parsed per second, to estimate a parse's time from its files' sizes: the
 # seed-1 bench logs, AT and CSV, parsed at 8-15 MB/s on the same host, about 10 in
-# the median.  So a parse pays for a child from about 200 KB.
+# the median.  So two logs pay for a child from about 800 KB together.
 _PARSE_BYTES_PER_S = 10e6
 
 # Rows per block of a table's text: bounds the text held at once, not a setting.
@@ -140,61 +140,60 @@ class _Child:
         return load(self.spill)
 
 
+def fan_out(n_items: int, work_s: float, run, save=None, load=pickle.load) -> list:
+    """``[run(lo, hi) for (lo, hi) in ranges]``: items ``0 .. n_items - 1`` split into ranges.
+
+    The ranges are contiguous and in order: at most one per usable CPU, one per
+    item, and ``isqrt(work_s / _CHILD_S)`` for a work of ``work_s`` seconds in all.
+    The caller forks its children one after another before it runs range 0, so n
+    ranges take about (n - 1) * c + W / n for a cost c per child, which is least
+    at n = sqrt(W / c).  One range, as without ``os.fork``, is the plain call.
+
+    A ``_Child`` runs each other range as ``save(lo, hi, spill)``, by default a
+    pickle of ``run(lo, hi)``, and its result is ``load(spill)``; if the child
+    failed, it is ``run(lo, hi)`` in the caller.  So the results are those of the
+    plain calls, and an error is the first that they raise: the caller's range,
+    then each child's range in turn.  Every child is killed and reaped before an
+    error leaves.
+    """
+    most = math.isqrt(int(work_s / _CHILD_S)) if hasattr(os, "fork") else 1
+    n_ranges = max(1, min(_usable_cpus(), n_items, most))
+    bounds = [n_items * k // n_ranges for k in range(n_ranges + 1)]
+    ranges = list(zip(bounds[1:-1], bounds[2:]))  # one child each
+    if save is None:
+        def save(lo, hi, spill):
+            pickle.dump(run(lo, hi), spill, pickle.HIGHEST_PROTOCOL)
+    with contextlib.ExitStack() as stack:
+        children = [stack.enter_context(_Child(partial(save, lo, hi))) for lo, hi in ranges]
+        results = [run(0, bounds[1])]
+        for child, (lo, hi) in zip(children, ranges):
+            results.append(child.result(load, partial(run, lo, hi)))
+    return results
+
+
 def write_blocks(path, head: str, block, n_blocks: int) -> None:
     """Write ``head``, then the texts ``block(0)``, ..., ``block(n_blocks - 1)``, to ``path``.
 
     Every output file slcap writes passes here: the tables, and with no blocks,
     the reports and the SVGs.  Each text is encoded once as UTF-8 and written as
-    bytes, so each LF or CR LF is written as formatted, on every OS.  The blocks
-    are split into contiguous ranges, at most one per usable CPU.  The caller
-    formats the first range straight into the file; each other range is
-    formatted by a ``_Child`` into its spill file, whose bytes the caller then
-    copies on in order.  So the bytes are those of the plain loop, and any
-    error is raised here as the plain loop raises it.
-
-    The time of block 0, formatted first, estimates the work W of all blocks.
-    The caller forks its children one after another before the rest of its
-    range, so n ranges take about (n - 1) * c + W / n for a cost c per child.
-    That is least at n = sqrt(W / c), and no more ranges than that are made.
-    One range, as without ``os.fork``, is the plain loop.
+    bytes, so each LF or CR LF is written as formatted, on every OS.  The time of
+    block 0, formatted first, estimates the work W of all blocks, which
+    ``fan_out`` splits into ranges.  The caller formats the rest of the first
+    range straight into the file; a child formats each other range into its
+    spill file, whose bytes the caller then copies on in order.  So the bytes
+    are those of the plain loop, and any error is raised here as the plain loop
+    raises it.
     """
     def write_range(lo, hi, out):
         for i in range(lo, hi):
             out.write(block(i).encode())
 
-    with open(path, "wb") as fh, contextlib.ExitStack() as stack:
+    with open(path, "wb") as fh:
         fh.write(head.encode())
         start = perf_counter()
         if n_blocks:
             fh.write(block(0).encode())
         work_s = (perf_counter() - start) * n_blocks
-        most = math.isqrt(int(work_s / _CHILD_S)) if hasattr(os, "fork") else 1
-        n_ranges = max(1, min(_usable_cpus(), n_blocks, most))
-        bounds = [n_blocks * k // n_ranges for k in range(n_ranges + 1)]
-        ranges = list(zip(bounds[1:-1], bounds[2:]))  # one child each, in order
-        children = [stack.enter_context(_Child(partial(write_range, lo, hi)))
-                    for lo, hi in ranges]
-        write_range(1, bounds[1], fh)
-        for child, (lo, hi) in zip(children, ranges):
-            child.result(lambda spill: shutil.copyfileobj(spill, fh),
-                         partial(write_range, lo, hi, fh))
-
-
-def parse_both(first, second, second_bytes: int):
-    """``(first(), second())`` for two independent parses, ``second`` of ``second_bytes`` of text.
-
-    A ``_Child`` runs ``second`` and pickles its result while the caller runs
-    ``first``, when there are two usable CPUs, ``os.fork`` exists, and
-    ``second_bytes`` at ``_PARSE_BYTES_PER_S`` estimate a parse longer than
-    ``_CHILD_S``.  Whatever the child does, the caller gets the results of the
-    plain calls, or the error that the first failing one of them raises.
-    """
-    if (_usable_cpus() < 2 or not hasattr(os, "fork")
-            or second_bytes / _PARSE_BYTES_PER_S <= _CHILD_S):
-        return first(), second()
-
-    def work(spill):
-        pickle.dump(second(), spill, pickle.HIGHEST_PROTOCOL)
-
-    with _Child(work) as child:
-        return first(), child.result(pickle.load, second)
+        fan_out(n_blocks, work_s,
+                lambda lo, hi: write_range(max(lo, 1), hi, fh),  # block 0 is written above
+                write_range, lambda spill: shutil.copyfileobj(spill, fh))

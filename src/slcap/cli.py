@@ -526,13 +526,14 @@ def _area(text: str) -> float:
 def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
     _bind("rssi")
     parse = parse_at_csq_log if args.format == "at" else parse_rssi_csv
-    # The baseline log may be parsed in a forked process; a missing one is _parse_input's error.
-    size = Path(args.baseline_log).stat().st_size if Path(args.baseline_log).is_file() else 0
-    novel, baseline = _cpus.parse_both(
-        partial(_parse_input, args.novel_log, parse, antenna="novel"),
-        partial(_parse_input, args.baseline_log, parse, antenna="baseline"),
-        size,
-    )
+    logs = {"novel": args.novel_log, "baseline": args.baseline_log}
+    parses = [partial(_parse_input, path, parse, antenna=name) for name, path in logs.items()]
+    # The baseline log may be parsed in a forked process, the work estimated from the sizes
+    # of both logs; a missing log counts 0 bytes here and is _parse_input's error.
+    size = sum(Path(path).stat().st_size for path in logs.values() if Path(path).is_file())
+    ranges = _cpus.fan_out(2, size / _cpus._PARSE_BYTES_PER_S,
+                           lambda lo, hi: [job() for job in parses[lo:hi]])
+    novel, baseline = [dataset for found in ranges for dataset in found]
 
     report = compare_datasets(
         novel,

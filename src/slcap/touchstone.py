@@ -225,11 +225,6 @@ def _read_table(lines) -> tuple[TouchstoneFormat, np.ndarray] | None:
     return fmt, table
 
 
-def _read_array(text: str) -> tuple[TouchstoneFormat, np.ndarray] | None:
-    """``_read_table`` of the lines of ``text``, as ``str.splitlines`` breaks them."""
-    return _read_table(iter(text.splitlines()))
-
-
 # ASCII line breaks of str.splitlines that a file's lines, and numpy, run through.
 _SPLITLINES_ONLY = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 _SCAN_BYTES = 2**20
@@ -349,7 +344,7 @@ def parse_touchstone(text: str) -> NetworkData:
         whose magnitude overflows, non-positive or non-increasing frequencies,
         or missing data.
     """
-    return _network(*(_read_array(text) or _read_lines(text)))
+    return _network(*(_read_table(iter(text.splitlines())) or _read_lines(text)))
 
 
 def _fmt_z0(z0: float) -> str:

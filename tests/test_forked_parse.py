@@ -1,11 +1,15 @@
-"""The ``rssi`` command's baseline log parsed in a forked process (``_cpus.parse_both``).
+"""The ``rssi`` command's baseline log parsed in a forked process (``_cpus.fan_out``).
 
-The child pickles its dataset through a spill file while the caller parses the
-novel log.  Whatever the child does, the command must give what the serial
-parses give: the same dataset bit for bit, the same outputs, or the same first
-error (the novel log's, then the baseline's).  The fixtures force the fork by
-making any file large enough to pay for a child.
+The two parses are two items of ``fan_out``, whose work is estimated from the
+sizes of both logs: with two ranges, the child pickles the baseline dataset
+through a spill file while the caller parses the novel log.  The parse and
+the block writer follow one rule for how many ranges pay.  Whatever the child
+does, the command must give what the serial parses give: the same dataset
+bit for bit, the same outputs, or the same first error (the novel log's, then
+the baseline's).  The fixtures force the fork by making any file large enough
+to pay for a child.
 """
+import math
 import os
 import pickle
 import random
@@ -54,10 +58,19 @@ def write_logs(tmp_path, fmt, n_novel=300, n_baseline=250, novel_bad=None, basel
 
 
 def parses(novel, baseline, fmt):
-    """The two calls ``cmd_rssi`` hands to ``parse_both``."""
+    """The two calls ``cmd_rssi`` hands to ``fan_out``."""
     parse = parse_at_csq_log if fmt == "at" else parse_rssi_csv
     return (partial(cli._parse_input, novel, parse, antenna="novel"),
             partial(cli._parse_input, baseline, parse, antenna="baseline"))
+
+
+def parse_both(first, second, n_bytes):
+    """``(first(), second())`` through ``fan_out``, as ``cmd_rssi`` runs its parses of two logs
+    of ``n_bytes`` together."""
+    calls = (first, second)
+    ranges = _cpus.fan_out(2, n_bytes / _cpus._PARSE_BYTES_PER_S,
+                           lambda lo, hi: [call() for call in calls[lo:hi]])
+    return tuple(result for found in ranges for result in found)
 
 
 def counted_forks(monkeypatch):
@@ -106,7 +119,7 @@ def rssi_run(tmp_path, fmt, novel, baseline, capsys, out="out"):
 def test_forked_datasets_are_the_serial_ones(tmp_path, forks, fmt):
     novel, baseline = write_logs(tmp_path, fmt)
     first, second = parses(novel, baseline, fmt)
-    got = _cpus.parse_both(first, second, os.path.getsize(baseline))
+    got = parse_both(first, second, os.path.getsize(novel) + os.path.getsize(baseline))
     assert len(forks) == 1
     assert_no_child_left()
     for dataset, expected in zip(got, (first(), second())):
@@ -182,7 +195,7 @@ def test_child_is_killed_when_the_first_parse_fails(forks):
 
     start = time.perf_counter()
     with pytest.raises(ValueError, match="^first fails$"):
-        _cpus.parse_both(first, second, 1)
+        parse_both(first, second, 1)
     assert time.perf_counter() - start < 30
     assert len(forks) == 1
     assert_no_child_left()
@@ -190,16 +203,17 @@ def test_child_is_killed_when_the_first_parse_fails(forks):
 
 def test_parse_forks_only_when_it_pays(monkeypatch):
     forks = counted_forks(monkeypatch)
-    limit = _cpus._CHILD_S * _cpus._PARSE_BYTES_PER_S  # bytes of a parse as long as a child
+    # Bytes of two logs whose parse is four children long: isqrt(W / _CHILD_S) = 2 ranges.
+    limit = 4 * _cpus._CHILD_S * _cpus._PARSE_BYTES_PER_S
     for size, cpus, fork_made in ((limit / 2, 2, False), (2 * limit, 1, False),
                                   (2 * limit, 2, True)):
         monkeypatch.setattr(_cpus, "_usable_cpus", lambda: cpus)
         forks.clear()
-        assert _cpus.parse_both(lambda: "first", lambda: "second", size) == ("first", "second")
+        assert parse_both(lambda: "first", lambda: "second", size) == ("first", "second")
         assert len(forks) == fork_made
     monkeypatch.delattr(_cpus.os, "fork")
     forks.clear()
-    assert _cpus.parse_both(lambda: "first", lambda: "second", 2 * limit) == ("first", "second")
+    assert parse_both(lambda: "first", lambda: "second", 2 * limit) == ("first", "second")
     assert forks == []
     assert_no_child_left()
 
@@ -207,9 +221,44 @@ def test_parse_forks_only_when_it_pays(monkeypatch):
 def test_small_logs_parse_in_one_process(tmp_path, monkeypatch, capsys):
     made = counted_forks(monkeypatch)  # at the shipped rate, a few KB do not pay for a child
     novel, baseline = write_logs(tmp_path, "at", n_novel=50, n_baseline=50)
-    assert os.path.getsize(baseline) < _cpus._CHILD_S * _cpus._PARSE_BYTES_PER_S
+    size = os.path.getsize(novel) + os.path.getsize(baseline)
+    assert math.isqrt(int(size / _cpus._PARSE_BYTES_PER_S / _cpus._CHILD_S)) < 2
     assert rssi_run(tmp_path, "at", novel, baseline, capsys)[0] == 0
     assert made == []
+
+
+# (usable CPUs, W in child costs).  W = 3.5 is over one child's cost but short of the four
+# that pay for a second range; each W sits half a cost clear of a whole one.
+ONE_RULE = [(1, 100.5), (2, 0.5), (2, 3.5), (2, 4.5), (3, 9.5), (8, 3.5), (8, 48.5), (8, 63.5)]
+
+
+@pytest.mark.parametrize(("cpus", "work"), ONE_RULE)
+def test_writer_and_parse_follow_one_rule(tmp_path, monkeypatch, capsys, cpus, work):
+    # The writer's 8 blocks and the parse's 2 logs each make
+    # min(CPUs, items, isqrt(W / _CHILD_S)) ranges, one of them the caller's, and at least one.
+    def ranges(items):
+        return max(1, min(cpus, items, math.isqrt(int(work))))
+
+    forks = counted_forks(monkeypatch)
+    monkeypatch.setattr(_cpus, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_cpus, "_CHILD_S", 1.0)
+    clock = [0.0]  # moved only by block 0, by an eighth of W: no other write pays for a child
+    monkeypatch.setattr(_cpus, "perf_counter", lambda: clock[0])
+
+    def block(i):
+        clock[0] += work / 8 if i == 0 else 0.0
+        return f"block {i}\n"
+
+    _cpus.write_blocks(tmp_path / "out.txt", "", block, 8)
+    assert (tmp_path / "out.txt").read_text() == "".join(f"block {i}\n" for i in range(8))
+    assert len(forks) + 1 == ranges(8)
+    novel, baseline = write_logs(tmp_path, "csv")
+    size = os.path.getsize(novel) + os.path.getsize(baseline)
+    monkeypatch.setattr(_cpus, "_PARSE_BYTES_PER_S", size / work)  # both logs parse in W
+    forks.clear()
+    assert rssi_run(tmp_path, "csv", novel, baseline, capsys)[0] == 0
+    assert len(forks) + 1 == ranges(2)
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))

@@ -369,21 +369,30 @@ def test_outputs_match_pinned_hashes_when_every_writer_forks(tmp_path, monkeypat
     monkeypatch.setattr(_cpus, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(_cpus, "_CHILD_S", 1e-15)
     monkeypatch.setattr(_cpus, "_PARSE_BYTES_PER_S", 1e-9)
-    forks, jobs = [], []
+    forks, jobs, writing = [], [], []
     fork = _cpus._fork
     monkeypatch.setattr(_cpus, "_fork", lambda: forks.append(None) or fork())
 
     class Child(_cpus._Child):
         def __init__(self, work):
-            # The function that made the job: parse_both for a parse, write_blocks for
-            # a range of a file (a partial of its write_range).
-            jobs.append(getattr(work, "func", work).__qualname__.split(".")[0])
+            # A job made inside write_blocks is a range of a file; any other, an
+            # rssi command's parse of its baseline log.
+            jobs.append("write_blocks" if writing else "parse")
             super().__init__(work)
 
+    def write_blocks(*args):
+        writing.append(None)
+        try:
+            return write(*args)
+        finally:
+            writing.pop()
+
+    write = _cpus.write_blocks
     monkeypatch.setattr(_cpus, "_Child", Child)
+    monkeypatch.setattr(_cpus, "write_blocks", write_blocks)
     assert golden_outputs(tmp_path) == GOLDEN
-    assert len(forks) == len(jobs) and jobs.count("parse_both") == 2
-    assert set(jobs) == {"parse_both", "write_blocks"}
+    assert len(forks) == len(jobs) and jobs.count("parse") == 2
+    assert set(jobs) == {"parse", "write_blocks"}
 
 
 def test_every_output_file_passes_the_one_writer(tmp_path, monkeypatch):

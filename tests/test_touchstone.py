@@ -26,7 +26,7 @@ from slcap import (
 )
 from slcap import cli
 from slcap.cli import run_command
-from slcap.touchstone import _parse_file, _parse_option_line, _read_array
+from slcap.touchstone import _parse_file, _parse_option_line, _read_table
 
 
 def one_port(doc: str) -> NetworkData:
@@ -538,7 +538,7 @@ def assert_same_from_file(doc):
 class TestReaderPaths:
     @pytest.mark.parametrize("name", sorted(ARRAY_CASES))
     def test_array_path_matches_reference(self, name):
-        assert _read_array(ARRAY_CASES[name]) is not None
+        assert _read_table(iter(ARRAY_CASES[name].splitlines())) is not None
         assert_same(ARRAY_CASES[name])
 
     @pytest.mark.parametrize("name", sorted(ARRAY_CASES))
@@ -549,7 +549,7 @@ class TestReaderPaths:
 
     @pytest.mark.parametrize("name", sorted(DECLINED_CASES))
     def test_declined_text_matches_reference(self, name):
-        assert _read_array(DECLINED_CASES[name]) is None
+        assert _read_table(iter(DECLINED_CASES[name].splitlines())) is None
         parse_touchstone(DECLINED_CASES[name])
         assert_same(DECLINED_CASES[name])
 

@@ -21,7 +21,8 @@ every run, so an interrupted session keeps what it measured.  Before the first
 run, the header records each side's interpreter floor: the medians of 9 spawns
 each of ``python -c pass`` and ``python -c "import numpy"`` under the
 environment ``bench/run.py`` gives its commands, so that a start-up figure shows
-how much of it is the interpreter and numpy.
+how much of it is the interpreter and numpy, and each side's ``src_lines``: the
+lines of ``src/slcap/*.py`` in all, as ``wc -l`` counts them.
 """
 from __future__ import annotations
 
@@ -75,6 +76,11 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool)
     return json.loads(lines[-1])
 
 
+def src_lines(checkout: Path) -> int:
+    """The newlines in ``src/slcap/*.py`` of ``checkout``: the total of ``wc -l``."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "slcap").glob("*.py"))
+
+
 def interpreter_floor(checkouts: dict[str, Path]) -> dict:
     """Per side, the median wall seconds of each ``FLOOR`` program, spawned in turn.
 
@@ -122,6 +128,7 @@ def main(argv: list[str] | None = None) -> int:
                                   "each of python -c 'pass' and python -c 'import numpy', sides "
                                   "alternating, under the environment bench/run.py gives its "
                                   "commands",
+        "src_lines_what": "per side, the lines of src/slcap/*.py in all, as wc -l counts them",
         "runs": [],
     }
     out = Path(args.out)
@@ -137,6 +144,7 @@ def main(argv: list[str] | None = None) -> int:
                 shutil.copytree(ROOT / name, change / name, ignore=skip)
             else:
                 shutil.copy2(ROOT / name, change / name)
+        doc["src_lines"] = {"parent": src_lines(parent), "change": src_lines(change)}
         doc["interpreter_floor"] = interpreter_floor({"parent": parent, "change": change})
         _write(out, doc)
         for workload, seed, trace in (run for spec in args.runs for run in spec):
