@@ -11,8 +11,9 @@ sphere with a composite trapezoidal rule; the polar integral runs in
 mu = cos(theta) so a uniform pattern integrates exactly and D >= 1 holds for
 every pattern.  Evaluation is deterministic: the grid is evaluated in blocks of
 theta rows, bit-identical at any chunk size and CPU count; it uses every CPU in
-the affinity set, with no setting.  The quadrature reduces in fixed row-major
-order.
+the affinity set, with no setting.  A lattice (fewer distinct x and y than
+elements) factors the phase by axis, one cos/sin table per distinct coordinate;
+any other layout sums it per element.  The quadrature reduces in fixed order.
 """
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ class ElementModel:
         if self.kind not in ELEMENT_KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
         ax = np.asarray(self.axis, dtype=float)
-        if ax.shape != (3,) or not np.all(np.isfinite(ax)) or np.dot(ax, ax) == 0:
+        if ax.shape != (3,) or not np.all(np.isfinite(ax)) or not np.any(ax):
             raise ValueError("axis must be a finite non-zero 3-vector")
         if len(self.footprint_mm) != 3:
             raise ValueError("footprint_mm must hold three dimensions")
@@ -79,6 +80,8 @@ class ElementModel:
 
     def unit_axis(self) -> np.ndarray:
         ax = np.asarray(self.axis, dtype=float)
+        with np.errstate(over="ignore"):  # scale only an axis whose square is not normal
+            ax = ax if np.finfo(float).tiny <= np.dot(ax, ax) < math.inf else ax / np.abs(ax).max()
         return ax / np.linalg.norm(ax)
 
 
@@ -230,31 +233,56 @@ def make_grid(theta_step_deg: float = 1.0, phi_step_deg: float = 1.0):
     return theta, phi
 
 
-def _pattern_rows(u, layout, sin_t, cos_t, cos_p, sin_p) -> None:
+def _exp_j(coord, direction, k):
+    """``exp(j (coord direction) k)``, as ``cos + j sin``: one axis's factor of the phase."""
+    phase = coord * direction
+    phase *= k
+    e = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=e.real)
+    np.sin(phase, out=e.imag)
+    return e
+
+
+def _pattern_rows(u, layout, sin_t, cos_t, cos_p, sin_p, axes=None) -> None:
     """Fill ``u`` with the intensity of the theta rows given by ``sin_t`` and ``cos_t``.
 
-    Each term is ``weight * exp(j phase)``, with the exponential written as
-    ``cos(phase) + j sin(phase)``: ``exp`` of a zero real part is exactly that.  The
-    phase sums in the order ``((x ux + y uy) + z uz) k``, and the numpy complex
-    multiply keeps the weight as its left operand, as in that formula; a real-arithmetic
-    product, or the operands swapped, rounds differently.
+    Each ``exp(j phase)`` is ``cos(phase) + j sin(phase)``, exactly ``exp`` of a zero real
+    part, and each complex product keeps its operand order: swapped, numpy rounds it
+    differently.  The loop (``axes`` None) adds ``weight * exp(j ((x ux + y uy) + z uz) k)``
+    per element.  Given ``axes`` (``np.unique(..., return_inverse=True)`` of x, y, z), the
+    phase factors as X Y Z, a table ``exp(j (c u) k)`` per distinct c ((rows, 1) for z); X,
+    the axis with fewer distinct values (x on a tie), keeps its tables, and for each distinct
+    Y in ascending order ``af += Y * sum((weight * Z) * X)`` over its elements in order.
     """
     k = layout.wavenumber
     ux = sin_t * cos_p
     uy = sin_t * sin_p
-    phase = np.empty(ux.shape)
-    term = np.empty(ux.shape)
-    e = np.empty(ux.shape, dtype=complex)
     af = np.zeros(ux.shape, dtype=complex)
-    for (x, y, z), weight in zip(layout.positions_m, layout.weights):
-        np.multiply(ux, x, out=phase)
-        np.multiply(uy, y, out=term)
-        phase += term
-        phase += z * cos_t  # uz is constant along a row
-        phase *= k
-        np.cos(phase, out=e.real)
-        np.sin(phase, out=e.imag)
-        af += weight * e
+    if axes is None:
+        phase = np.empty(ux.shape)
+        term = np.empty(ux.shape)
+        e = np.empty(ux.shape, dtype=complex)
+        for (x, y, z), weight in zip(layout.positions_m, layout.weights):
+            np.multiply(ux, x, out=phase)
+            np.multiply(uy, y, out=term)
+            phase += term
+            phase += z * cos_t  # uz is constant along a row
+            phase *= k
+            np.cos(phase, out=e.real)
+            np.sin(phase, out=e.imag)
+            af += weight * e
+    else:
+        kept, outer = sorted([(*axes[0], ux), (*axes[1], uy)], key=lambda a: a[0].size)
+        zs, iz = axes[2]
+        tables = [_exp_j(c, kept[2], k) for c in kept[0]]  # one block each: 8 on an 8x8 lattice
+        z_terms = [_exp_j(c, cos_t, k) for c in zs]
+        inner, term = np.empty_like(af), np.empty_like(af)
+        for b, coord in enumerate(outer[0]):
+            inner.fill(0)
+            for n in np.flatnonzero(outer[1] == b):
+                np.multiply(layout.weights[n] * z_terms[iz[n]], tables[kept[1][n]], out=term)
+                inner += term
+            af += _exp_j(coord, outer[2], k) * inner
     u[...] = np.abs(af) ** 2
     if layout.element.kind == HERTZIAN_DIPOLE:
         axis = layout.element.unit_axis()
@@ -290,10 +318,12 @@ def evaluate_pattern(
     cos_p = np.cos(phi)[None, :]
     sin_p = np.sin(phi)[None, :]
     u = np.empty((theta.size, phi.size), dtype=float)
+    axes = [np.unique(c, return_inverse=True) for c in layout.positions_m.T]
+    axes = axes if axes[0][0].size + axes[1][0].size < layout.n_elements else None
 
     def block(i):
         rows = slice(i * _CHUNK_ROWS, (i + 1) * _CHUNK_ROWS)
-        _pattern_rows(u[rows], layout, sin_t[rows], cos_t[rows], cos_p, sin_p)
+        _pattern_rows(u[rows], layout, sin_t[rows], cos_t[rows], cos_p, sin_p, axes)
 
     _run_blocks(block, -(-theta.size // _CHUNK_ROWS))
     return RadiationPattern(

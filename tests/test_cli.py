@@ -244,6 +244,23 @@ class TestPatternCommand:
         # One cut sample per degree: 2 * 181 - 2.
         assert len((tmp_path / "cut.csv").read_text().splitlines()) == 361
 
+    # An axis whose square overflows, or underflows to zero, is still a direction.
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_huge_and_tiny_dipole_axes(self, tmp_path, scale):
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps({
+            "frequency_hz": 1e9, "positions": [[0.0, 0.0, 0.0]],
+            "element": {"kind": "hertzian-dipole", "axis": [scale, scale, 0.0]},
+        }))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "slcap", "--out-dir", str(tmp_path),
+             "pattern", "--layout", str(layout)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        rep = report_dict(tmp_path / "pattern_report.txt")
+        assert float(rep["directivity"]) == pytest.approx(1.5, rel=5e-3)
+
     def test_four_lobe_array(self, tmp_path):
         wavelength = 299792458.0 / 1e9
         layout = tmp_path / "pair.json"

@@ -172,6 +172,23 @@ class TestElementAndLayout:
         e = ElementModel(kind=HERTZIAN_DIPOLE, axis=(0.0, 0.0, 2.0))
         np.testing.assert_allclose(e.unit_axis(), [0.0, 0.0, 1.0])
 
+    def test_moderate_axes_keep_the_norm_quotient(self, rng):
+        for ax in rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-100, 100, (200, 1)):
+            got = ElementModel(kind=HERTZIAN_DIPOLE, axis=tuple(ax)).unit_axis()
+            assert got.tobytes() == (ax / np.linalg.norm(ax)).tobytes()
+
+    # The square of each axis overflows, is subnormal or underflows to zero.
+    @pytest.mark.parametrize("scale", [1e300, 1e160, 1e-160, 1e-300, 5e-324])
+    def test_huge_and_tiny_axes_are_unit_vectors(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ElementModel(kind=HERTZIAN_DIPOLE, axis=(scale, -scale, 0.0)).unit_axis()
+        assert got.tobytes() == (np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)).tobytes()
+
+    def test_zero_axis_rejected(self):
+        with pytest.raises(ValueError, match="non-zero"):
+            ElementModel(kind=HERTZIAN_DIPOLE, axis=(0.0, -0.0, 0.0))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ElementModel(kind="patch")
@@ -381,9 +398,13 @@ class TestFindLobes:
 # ---------------------------------------------------------------------------
 # The block evaluator against the serial loop
 #
-# ``reference_pattern`` is the loop that ``evaluate_pattern`` replaced: one
-# block of theta rows at a time, with ``np.exp(1j * phase)`` per element.
-# ``evaluate_pattern`` must give the same bits at any chunk size and CPU count.
+# ``reference_pattern`` is the per-element loop: one block of theta rows at a
+# time, with ``np.exp(1j * phase)`` per element.  ``reference_factored_pattern``
+# splits the phase by axis, exp(j k r.u) = X(x) Y(y) Z(z), as ``evaluate_pattern``
+# does for a lattice: a layout with fewer distinct x and y than elements.
+# ``evaluate_pattern`` must give the bits of the reference for its path at any
+# chunk size and CPU count, and a lattice must also lie within 1e-13 u_max of
+# the loop.
 
 
 def reference_pattern(layout, theta, phi, chunk_rows=64):
@@ -414,6 +435,48 @@ def reference_pattern(layout, theta, phi, chunk_rows=64):
     return u
 
 
+def is_lattice(layout):
+    n_x, n_y = (np.unique(layout.positions_m[:, axis]).size for axis in (0, 1))
+    return n_x + n_y < layout.n_elements
+
+
+def reference_factored_pattern(layout, theta, phi, chunk_rows=64):
+    """The lattice path from its formula: for each distinct coordinate of the axis with
+    more distinct values (y on a tie), in ascending order, ``inner`` sums
+    ``(w_n Z(z_n)) X(x_n)`` over its elements in element order, and ``af += Y inner``.
+    Each factor is ``np.exp(1j * ((c * u) * k))``, with Z a column per theta row."""
+    pos = layout.positions_m
+    values = [np.unique(pos[:, axis], return_inverse=True) for axis in range(3)]
+    table_axis = 1 if values[1][0].size < values[0][0].size else 0
+    sum_axis = 1 - table_axis
+    k = layout.wavenumber
+    dipole = layout.element.kind == HERTZIAN_DIPOLE
+    u = np.empty((theta.size, phi.size), dtype=float)
+    for start in range(0, theta.size, chunk_rows):
+        t = theta[start:start + chunk_rows, None]
+        direction = (np.sin(t) * np.cos(phi)[None, :], np.sin(t) * np.sin(phi)[None, :],
+                     np.cos(t))
+
+        def factor(axis, c):
+            return np.exp(1j * ((c * direction[axis]) * k))
+
+        af = np.zeros(direction[0].shape, dtype=complex)
+        for i, c in enumerate(values[sum_axis][0]):
+            inner = np.zeros(af.shape, dtype=complex)
+            for n in range(layout.n_elements):
+                if values[sum_axis][1][n] == i:
+                    z_part = layout.weights[n] * factor(2, pos[n, 2])
+                    inner += z_part * factor(table_axis, pos[n, table_axis])
+            af += factor(sum_axis, c) * inner
+        block = np.abs(af) ** 2
+        if dipole:
+            axis = layout.element.unit_axis()
+            proj = direction[0] * axis[0] + direction[1] * axis[1] + direction[2] * axis[2]
+            block *= np.maximum(1.0 - proj**2, 0.0)
+        u[start:start + block.shape[0]] = block
+    return u
+
+
 def _lattice_8x8():
     ix, iy = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
     return np.column_stack([ix.ravel(), iy.ravel(), np.zeros(64)]) * 0.5
@@ -427,6 +490,8 @@ def _steered(positions_wl, theta_deg, phi_deg):
 
 _IRREGULAR = np.random.default_rng(7).uniform([-1.0, -1.0, -0.25], [1.0, 1.0, 0.25], (64, 3))
 TILTED = (1.0, 1.0, 0.5)
+_RECT_2_PLANES = np.stack(np.meshgrid([0.0, 0.4, 0.8, 1.2], [-0.3, 0.2, 0.7], [0.0, 0.35],
+                                      indexing="ij"), axis=-1).reshape(-1, 3)
 PATTERN_LAYOUTS = {
     "isotropic_1_real": layout_of([[0.1, -0.2, 0.3]], [2.0 + 0j]),
     "dipole_1_complex": layout_of([[0.0, 0.0, 0.0]], [0.5 - 1.5j], HERTZIAN_DIPOLE, TILTED),
@@ -441,17 +506,64 @@ PATTERN_LAYOUTS = {
     "dipole_64_steered": layout_of(
         _IRREGULAR, _steered(_IRREGULAR, 120, 200), HERTZIAN_DIPOLE, TILTED
     ),
+    # 4 x 3 positions in two z planes: fewer distinct y than x, so y keeps its tables.
+    "dipole_24_two_planes": layout_of(
+        _RECT_2_PLANES, np.exp(1j * np.arange(24.0)) * np.linspace(1.0, 0.3, 24),
+        HERTZIAN_DIPOLE, TILTED,
+    ),
 }
 GRID = make_grid(2.0, 5.0)  # 91 theta rows
+
+
+# The path each layout takes; every other layout of PATTERN_LAYOUTS takes the loop.
+FACTORED = {"isotropic_64_real", "isotropic_64_steered", "dipole_24_two_planes"}
 
 
 def assert_same_as_reference(layout, theta, phi, chunk_rows, monkeypatch):
     monkeypatch.setattr(radiation, "_CHUNK_ROWS", chunk_rows)
     got = evaluate_pattern(layout, theta, phi).u
-    assert got.tobytes() == reference_pattern(layout, theta, phi, chunk_rows).tobytes()
+    loop = reference_pattern(layout, theta, phi, chunk_rows)
+    if is_lattice(layout):
+        want = reference_factored_pattern(layout, theta, phi, chunk_rows)
+        assert got.tobytes() == want.tobytes()
+        assert np.max(np.abs(got - loop)) <= 1e-13 * loop.max()
+    else:
+        assert got.tobytes() == loop.tobytes()
+
+
+def path_taken(layout, monkeypatch):
+    """"factored" or "loop": the path ``evaluate_pattern`` gives each block of ``layout``."""
+    paths, original = set(), radiation._pattern_rows
+
+    def rows(*args):
+        paths.add("loop" if args[-1] is None else "factored")
+        original(*args)
+
+    monkeypatch.setattr(radiation, "_pattern_rows", rows)
+    evaluate_pattern(layout, *make_grid(30.0, 30.0))
+    assert len(paths) == 1
+    return paths.pop()
 
 
 class TestReferenceEquivalence:
+    @pytest.mark.parametrize("name", sorted(PATTERN_LAYOUTS))
+    def test_each_layout_takes_its_named_path(self, name, monkeypatch):
+        layout = PATTERN_LAYOUTS[name]
+        want = "factored" if name in FACTORED else "loop"
+        assert path_taken(layout, monkeypatch) == want
+        assert is_lattice(layout) == (want == "factored")
+
+    # The golden 2x2 lattice has as many distinct x and y as elements; the golden
+    # dipole's three elements share x = y = 0.
+    @pytest.mark.parametrize("name, want", [("lattice.json", "loop"),
+                                            ("dipole.json", "factored")])
+    def test_golden_layouts_take_their_named_paths(self, name, want, monkeypatch):
+        from test_golden import INPUTS
+
+        layout = radiation.parse_layout(INPUTS[name])
+        assert path_taken(layout, monkeypatch) == want
+        assert is_lattice(layout) == (want == "factored")
+
     @pytest.mark.parametrize("chunk", [1, 7, 16, 64, 200])
     @pytest.mark.parametrize("name", sorted(PATTERN_LAYOUTS))
     def test_matches_reference(self, name, chunk, monkeypatch):
@@ -488,6 +600,74 @@ class TestReferenceEquivalence:
                 assert threading.active_count() == before
         finally:
             sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# Both paths against an extended-precision evaluation
+#
+# Random lattices of 1-6 x 1-6 positions with random spacings, one or two z
+# planes, random sparse masks, duplicate positions, complex weights, and
+# isotropic or dipole elements; the element order is shuffled.
+
+
+def random_lattice(seed, jitter=False):
+    """A random lattice; with ``jitter``, each coordinate moved by up to 1e-3 wavelengths,
+    so that no two x or y are equal and the layout takes the loop."""
+    rng = np.random.default_rng(seed)
+    nx, ny, nz = rng.integers(1, 7), rng.integers(1, 7), rng.integers(1, 3)
+    grid = np.stack(np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    keep = rng.random(len(grid)) < rng.uniform(0.3, 1.0)
+    keep[rng.integers(len(grid))] = True
+    grid = grid[keep]
+    grid = np.concatenate([grid, grid[rng.integers(0, len(grid), rng.integers(0, 4))]])
+    pos = rng.permutation(grid) * rng.uniform(0.1, 0.8, 3) + rng.uniform(-1.0, 1.0, 3)
+    pos += rng.uniform(-1e-3, 1e-3, pos.shape) if jitter else 0.0
+    weights = rng.normal(size=len(pos)) + 1j * rng.normal(size=len(pos))
+    dipole = rng.random() < 0.5
+    return layout_of(pos, weights, HERTZIAN_DIPOLE if dipole else ISOTROPIC,
+                     tuple(rng.normal(size=3)) if dipole else (0.0, 0.0, 1.0))
+
+
+def longdouble_pattern(layout, theta, phi):
+    ld = np.longdouble
+    t, p = theta.astype(ld)[:, None], phi.astype(ld)[None, :]
+    direction = [np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t) + 0 * p]
+    k = 8 * np.arctan(ld(1)) * ld(layout.frequency_hz) / ld(SPEED_OF_LIGHT)
+    re = np.zeros(direction[0].shape, dtype=ld)
+    im = np.zeros_like(re)
+    for r, w in zip(layout.positions_m.astype(ld), layout.weights):
+        phase = k * sum(r[i] * direction[i] for i in range(3))
+        c, s = np.cos(phase), np.sin(phase)
+        re += ld(w.real) * c - ld(w.imag) * s
+        im += ld(w.real) * s + ld(w.imag) * c
+    u = re * re + im * im
+    if layout.element.kind == HERTZIAN_DIPOLE:
+        axis = np.asarray(layout.element.axis, dtype=ld)
+        axis /= np.sqrt(np.sum(axis * axis))
+        proj = sum(axis[i] * direction[i] for i in range(3))
+        u *= np.maximum(1 - proj * proj, 0)
+    return u
+
+
+RANDOM_SEEDS = range(40)
+
+
+class TestRandomLayouts:
+    """Each path within 1e-13 u_max of a ``np.longdouble`` evaluation."""
+
+    def test_both_paths_are_drawn(self):
+        lattices = [is_lattice(random_lattice(seed)) for seed in RANDOM_SEEDS]
+        assert 20 <= sum(lattices) < len(lattices)
+        assert not any(is_lattice(random_lattice(seed, jitter=True)) for seed in RANDOM_SEEDS)
+
+    @pytest.mark.parametrize("jitter", [False, True])
+    @pytest.mark.parametrize("seed", RANDOM_SEEDS)
+    def test_within_extended_precision(self, seed, jitter):
+        layout = random_lattice(seed, jitter)
+        got = evaluate_pattern(layout, *GRID).u
+        want = longdouble_pattern(layout, *GRID)
+        assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
 
 
 class TestBlockFailures:

@@ -1,4 +1,4 @@
-"""Each command's own peak RSS for one benchmark workload, spawned from a small process.
+"""Each command's own peak RSS and wall time for one benchmark workload, from a small spawner.
 
 Usage, from the root of a checkout:
 
@@ -10,14 +10,14 @@ Usage, from the root of a checkout:
 ``ru_maxrss``, so a command that peaks below the bench process (numpy, the generated
 inputs, the outputs it hashes) reads as that floor.  This script builds the workload's
 inputs with ``bench/workloads.py`` under ``.bench_work/own_rss/``, then hands the command
-lines to a ``python -S`` helper that imports only ``json``, ``os`` and ``sys``.  The helper
-starts each command with ``posix_spawn`` and reaps it with ``wait4``, so each reading is the
-command's own.  The working tree's ``src/`` is copied to ``<tmp>/change/src`` and runs from
+lines to a ``python -S`` helper that imports only ``json``, ``os``, ``sys`` and ``time``.  The
+helper starts each command with ``posix_spawn`` and reaps it with ``wait4``, so each reading is
+the command's own, and times it from spawn to reap with ``time.perf_counter``.  The working tree's ``src/`` is copied to ``<tmp>/change/src`` and runs from
 there.  With ``--parent``, that commit's ``src/`` is exported with ``git archive`` to
 ``<tmp>/parent/src`` and runs the same commands, alternating with the working tree within
 each repetition.  The two trees are siblings with paths of the same length, because where a
 tree sits alone moves own peak RSS by more than the bench's 0.1 MB bound.  Each command's
-median ``ru_maxrss`` is printed per tree, then one JSON line.  Outputs are not checked;
+median ``ru_maxrss`` and median wall seconds are printed per tree, then one JSON line.  Outputs are not checked;
 ``bench/run.py`` does that.  ``--scale stress`` first sets the sizes of ``bench/workloads.py``,
 in this process only, to the stress scale: 200,000 sweep and synth points and log readings,
 and a 0.25 degree phi step.  No file under ``bench/`` changes, and the outputs of a stress
@@ -42,9 +42,9 @@ STRESS = {"SWEEP_POINTS": 200_000, "SYNTH_POINTS": 200_000, "LOG_READINGS": 200_
           "PHI_STEP_DEG": 0.25}
 
 # Run as ``python -S -c HELPER`` with the job as JSON on stdin; writes
-# {tree: {command: [[exit code, ru_maxrss KiB], ...]}} to stdout.
+# {tree: {command: [[exit code, ru_maxrss KiB, wall s], ...]}} to stdout.
 HELPER = r"""
-import json, os, sys
+import json, os, sys, time
 job = json.load(sys.stdin)
 quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_RDWR, 0) for fd in (0, 1, 2)]
 found = {tree: {name: [] for name in job["commands"]} for tree in job["trees"]}
@@ -53,9 +53,11 @@ for rep in range(job["reps"]):
     for tree, env in trees if rep % 2 == 0 else trees[::-1]:
         for name, argv in job["commands"].items():
             argv = [job["python"], "-m", "slcap", *argv]
+            start = time.perf_counter()
             pid = os.posix_spawn(job["python"], argv, env, file_actions=quiet)
             _, status, usage = os.wait4(pid, 0)
-            found[tree][name].append([os.waitstatus_to_exitcode(status), usage.ru_maxrss])
+            wall = time.perf_counter() - start
+            found[tree][name].append([os.waitstatus_to_exitcode(status), usage.ru_maxrss, wall])
 json.dump(found, sys.stdout)
 """
 
@@ -112,20 +114,22 @@ def main(argv: list[str] | None = None) -> int:
                               stdout=subprocess.PIPE, text=True, check=True)
     found = json.loads(proc.stdout)
 
-    medians = {}
+    medians, walls = {}, {}
     for tree, commands in found.items():
         for name, runs in commands.items():
-            codes = sorted({code for code, _ in runs} - {0})
+            codes = sorted({code for code, _, _ in runs} - {0})
             if codes:
                 print(f"error: {tree} {name} exited {codes}", file=sys.stderr)
                 return 1
-            medians.setdefault(tree, {})[name] = statistics.median(kib for _, kib in runs) / 1024
+            mb = [kib / 1024 for _, kib, _ in runs]
+            medians.setdefault(tree, {})[name] = statistics.median(mb)
+            walls.setdefault(tree, {})[name] = round(statistics.median(s for _, _, s in runs), 4)
             print(f"{tree} {name}: median own peak RSS {medians[tree][name]:.2f} MB "
-                  f"over {len(runs)}, range {min(kib for _, kib in runs) / 1024:.2f}-"
-                  f"{max(kib for _, kib in runs) / 1024:.2f}")
+                  f"over {len(runs)}, range {min(mb):.2f}-{max(mb):.2f}; "
+                  f"median wall {walls[tree][name]:.3f} s")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "reps": args.reps,
                       "parent": args.parent, "scale": args.scale,
-                      "median_own_peak_rss_mb": medians}))
+                      "median_own_peak_rss_mb": medians, "median_wall_s": walls}))
     return 0
 
 
