@@ -288,10 +288,28 @@ def write_lobes_csv(path: Path, lobes) -> None:
 
 
 def write_rssi_csv(path: Path, dataset) -> None:
-    """One row per reading; the timestamps are ``iso_timestamps``, a parsed log's checked text."""
+    """One row per reading: timestamp, rssi, dbm, as ``_write_csv`` writes those columns.
+
+    Each row is its ``isoformat`` text from ``dataset.iso_column`` and the tail
+    ``,<rssi>,<dbm>\\r\\n`` of its code, formatted once per distinct code.  A block's rows
+    are put together as a byte matrix, from which the NUL padding of the two ``S``
+    columns is dropped.
+    """
     _bind("rssi")
-    columns = [dataset.iso_timestamps, dataset.rssi, dbm_levels(dataset.rssi)]
-    _write_csv(path, ["timestamp", "rssi", "dbm"], columns)
+    iso = dataset.iso_column
+    codes, which = np.unique(dataset.rssi, return_inverse=True)
+    tails = np.array([",%.9g,%.9g\r\n" % cells
+                      for cells in zip(codes.tolist(), dbm_levels(codes).tolist())], dtype="S")
+    rows = _cpus.BLOCK_ROWS
+
+    def block(i: int) -> str:
+        part = slice(i * rows, (i + 1) * rows)
+        cells = np.concatenate([iso[part].view(np.uint8).reshape(-1, iso.itemsize),
+                                tails[which[part]].view(np.uint8).reshape(-1, tails.itemsize)],
+                               axis=1)
+        return cells[cells != 0].tobytes().decode()
+
+    _cpus.write_blocks(path, "timestamp,rssi,dbm\r\n", block, -(-iso.size // rows))
 
 
 def _emit_report(path: Path, rows: list[tuple[str, str]]) -> None:
@@ -323,8 +341,11 @@ def _read_text(path: str | Path) -> str:
     _check_size(path)
     try:
         return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except UnicodeDecodeError as exc:  # the whole file was decoded at once
+        # The line of the first bad byte, counted as the parsers count a text's lines.
+        line = len((exc.object[:exc.start].decode() + "?").splitlines())
+        raise InputError(
+            f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _parse_input(path: str, parse, from_path=None, **kw):

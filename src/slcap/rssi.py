@@ -73,20 +73,17 @@ class _CodeRangeError(ValueError):
         super().__init__(message)
 
 
-class _IsoText(tuple):
-    """The ``isoformat`` texts of a parsed, checked timestamp column."""
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class RssiDataset:
     """A labelled series of readings from one antenna in one environment, as columns.
 
-    ``timestamps`` is a tuple of ``datetime`` and ``iso_timestamps`` of their ``isoformat``
-    texts; a parsed dataset holds the texts, and either column is built on first read.
-    ``rssi`` and ``ber`` are read-only int64 arrays of the same length.  The codes are checked
-    as arrays of Python ints before the cast, so one past int64 is reported, not wrapped: the
-    first rssi outside 0..31 or ber outside 0..7, other than 99 (unknown), raises ValueError.
-    ber is kept but unused by the statistics.
+    ``iso_column`` holds the timestamps' ``isoformat`` texts as one read-only numpy ``S``
+    array; ``iso_timestamps`` (a tuple of those texts) and ``timestamps`` (a tuple of
+    ``datetime``) are built from it on first read.  A dataset made from datetimes keeps
+    those objects as ``timestamps``.  ``rssi`` and ``ber`` are read-only int64 arrays of the
+    same length.  The codes are checked as arrays of Python ints before the cast, so one past
+    int64 is reported, not wrapped: the first rssi outside 0..31 or ber outside 0..7, other
+    than 99 (unknown), raises ValueError.  ber is kept but unused by the statistics.
     """
 
     timestamps: tuple[datetime, ...]  # read through the cached_property below
@@ -96,27 +93,28 @@ class RssiDataset:
     antenna: str = ""
 
     def __init__(self, timestamps, rssi, ber, environment: str = "", antenna: str = ""):
-        parsed = type(timestamps) is _IsoText
-        timestamps = timestamps if parsed else tuple(timestamps)
-        self.__dict__["iso_timestamps" if parsed else "timestamps"] = timestamps
-        rssi, ber = np.array(rssi, dtype=object), np.array(ber, dtype=object)
-        if rssi.shape != (len(timestamps),) or ber.shape != rssi.shape:
-            raise ValueError("timestamps, rssi and ber must be columns of one length")
-        bad_rssi = ((rssi < 0) | (rssi > 31)) & (rssi != RSSI_UNKNOWN)
-        bad_ber = ((ber < 0) | (ber > 7)) & (ber != RSSI_UNKNOWN)
-        bad = np.flatnonzero(bad_rssi | bad_ber)
-        if bad.size:
-            i = int(bad[0])
-            if bad_rssi[i]:
-                raise _CodeRangeError(i, f"rssi {rssi[i]} outside 0..31 / 99")
-            raise _CodeRangeError(i, f"ber {ber[i]} outside 0..7 / 99")
-        rssi, ber = rssi.astype(np.int64), ber.astype(np.int64)
-        rssi.flags.writeable = ber.flags.writeable = False
-        self.__dict__.update(rssi=rssi, ber=ber, environment=environment, antenna=antenna)
+        timestamps = tuple(timestamps)
+        rssi, ber = _code_columns(rssi, ber, len(timestamps))
+        self.__dict__["timestamps"] = timestamps
+        iso = np.array([t.isoformat() for t in timestamps], dtype="S")
+        self._fill(iso, rssi, ber, environment, antenna)
+
+    @classmethod
+    def _parsed(cls, iso, rssi, ber, environment: str, antenna: str) -> RssiDataset:
+        """The dataset of checked columns: ``isoformat`` texts and int64 codes."""
+        dataset = cls.__new__(cls)
+        dataset._fill(iso, rssi, ber, environment, antenna)
+        return dataset
+
+    def _fill(self, iso, rssi, ber, environment, antenna):
+        iso.flags.writeable = rssi.flags.writeable = ber.flags.writeable = False
+        self.__dict__.update(iso_column=iso, rssi=rssi, ber=ber, environment=environment,
+                             antenna=antenna)
 
     def __setstate__(self, state):
         # An unpickled array may be writeable; the columns of a dataset are not.
         self.__dict__.update(state)
+        self.iso_column.flags.writeable = False
         self.rssi.flags.writeable = self.ber.flags.writeable = False
 
     @cached_property
@@ -125,7 +123,7 @@ class RssiDataset:
 
     @cached_property
     def iso_timestamps(self) -> tuple[str, ...]:
-        return tuple(t.isoformat() for t in self.timestamps)
+        return tuple(self.iso_column.astype(str).tolist())
 
     @property
     def known(self) -> np.ndarray:
@@ -144,6 +142,150 @@ class RssiDataset:
         return int(np.count_nonzero(self.known))
 
 
+def _code_columns(rssi, ber, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rssi`` and ``ber`` as int64 columns of length ``n``, checked as Python ints first."""
+    rssi, ber = np.array(rssi, dtype=object), np.array(ber, dtype=object)
+    if rssi.shape != (n,) or ber.shape != rssi.shape:
+        raise ValueError("timestamps, rssi and ber must be columns of one length")
+    bad_rssi = ((rssi < 0) | (rssi > 31)) & (rssi != RSSI_UNKNOWN)
+    bad_ber = ((ber < 0) | (ber > 7)) & (ber != RSSI_UNKNOWN)
+    bad = np.flatnonzero(bad_rssi | bad_ber)
+    if bad.size:
+        i = int(bad[0])
+        if bad_rssi[i]:
+            raise _CodeRangeError(i, f"rssi {rssi[i]} outside 0..31 / 99")
+        raise _CodeRangeError(i, f"ber {ber[i]} outside 0..7 / 99")
+    return rssi.astype(np.int64), ber.astype(np.int64)
+
+
+# The timestamp layouts that ``_read_columns`` takes, by width, one character class per
+# column: d a digit, T a "T" or space, + a sign, Z a "Z" or "z", any other itself.
+_LAYOUTS = {len(p): p for p in ("dddd-dd-ddTdd:dd:dd" + fraction + offset
+                                for fraction in ("", ".dddddd") for offset in ("", "Z", "+dd:dd"))}
+# A class as the least byte and the span of bytes above it that it takes (in uint8, a
+# byte below the least wraps far above it); the three two-byte classes are checked apart.
+_SPANS = {"d": (ord("0"), 9), "T": (0, 255), "+": (0, 255), "Z": (0, 255)}
+_PAIRS = {"T": b"T ", "+": b"+-", "Z": b"Zz"}
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _number(columns: np.ndarray) -> np.ndarray:
+    """The decimal value of each row of digit bytes."""
+    value = np.zeros(len(columns), dtype=np.int32)
+    for column in columns.T:
+        value = value * 10 + column - ord("0")
+    return value
+
+
+def _read_columns(text: str, table: bool, environment: str = "", antenna: str = ""):
+    """The dataset of an AT log, or of a CSV log if ``table``, read by numpy; or None.
+
+    Taken only where every line breaks as ``str.splitlines`` and ``csv`` break it: an ASCII
+    text whose breaks are LF or CR LF, and with no ``"`` in a CSV.  Blank lines are skipped,
+    and in an AT log the lines that start with ``#``; a CSV starts with its exact header.
+    Every other line must be one reading, ``<timestamp> +CSQ: <rssi>,<ber>`` or
+    ``<timestamp>,<rssi>,<ber>``, its timestamp in the layout of the first (``_LAYOUTS``)
+    and valid as ``datetime.fromisoformat`` reads it, and each code one or two digits and
+    in its range.  For anything else, None: the line parser then reads the text and names
+    any fault.  The timestamps are kept as their ``isoformat`` texts.
+    """
+    if (not text or not text.isascii() or "\r" in text and text.count("\r") != text.count("\r\n")
+            or any(c in text for c in "\v\f\x1c\x1d\x1e") or table and '"' in text):
+        return None
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    breaks = np.flatnonzero(raw == ord("\n"))
+    ends = breaks if text[-1] == "\n" else np.append(breaks, raw.size)
+    starts = np.concatenate(([0], breaks + 1))[:ends.size]
+    ends = ends - ((ends > starts) & (raw[ends - 1] == ord("\r")))
+    if table:
+        if raw[starts[0]:ends[0]].tobytes() != b"timestamp,rssi,ber":
+            return None
+        starts, ends = starts[1:], ends[1:]
+    kept = (ends > starts) if table else (ends > starts) & (raw[starts] != ord("#"))
+    starts, ends = starts[kept], ends[kept]
+    if not starts.size:
+        return None
+    sep = b"," if table else b" +CSQ: "
+    width = raw[starts[0]:ends[0]].tobytes().find(sep)
+    layout = _LAYOUTS.get(width)
+    if layout is None or not np.all((ends - starts >= width + len(sep) + 3)
+                                    & (ends - starts <= width + len(sep) + 5)):
+        return None
+    head = np.lib.stride_tricks.sliding_window_view(raw, width + len(sep))[starts]
+    if not ((head[:, width:] == np.frombuffer(sep, np.uint8)).all()
+            and _valid_stamps(head[:, :width], layout)):
+        return None
+    codes = _codes(raw, starts + width + len(sep), ends)
+    if codes is None:
+        return None
+    return RssiDataset._parsed(_iso_texts(head[:, :width], layout), *codes, environment, antenna)
+
+
+def _valid_stamps(ts: np.ndarray, layout: str) -> bool:
+    """Whether each row of ``ts`` is in ``layout`` and valid as ``fromisoformat`` reads it."""
+    low, span = np.array([_SPANS.get(c, (ord(c), 0)) for c in layout], dtype=np.uint8).T
+    if not (((ts - low) <= span).all()
+            and all(((ts[:, i] == _PAIRS[c][0]) | (ts[:, i] == _PAIRS[c][1])).all()
+                    for i, c in enumerate(layout) if c in _PAIRS)):
+        return False
+    year, month, day, hour, minute, second = (
+        _number(ts[:, i:i + n]) for i, n in ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2)))
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    days = _MONTH_DAYS[np.clip(month, 0, 12)] + ((month == 2) & leap)
+    valid = ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= days)
+             & (hour <= 23) & (minute <= 59) & (second <= 59))
+    offset = layout.find("+")
+    if offset >= 0:  # under 24 hours, as a timezone must be; minutes past 59 are carried
+        valid &= (_number(ts[:, offset + 1:offset + 3]) <= 23) & (_number(ts[:, offset + 4:]) <= 59)
+    return bool(valid.all())
+
+
+def _codes(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The int64 rssi and ber columns of the texts ``raw[starts:ends]``, or None.
+
+    Each text must be ``<rssi>,<ber>``, both codes of one or two digits and in range.
+    """
+    comma = np.where(raw[starts + 1] == ord(","), starts + 1, starts + 2)
+    if not ((raw[comma] == ord(",")).all() and (ends - comma >= 2).all()
+            and (ends - comma <= 3).all()):
+        return None
+    first, last = ((raw[a] - ord("0"), raw[b] - ord("0")) for a, b in ((starts, comma - 1),
+                                                                      (comma + 1, ends - 1)))
+    if not all((digit <= 9).all() for digit in (*first, *last)):
+        return None
+    rssi = np.where(comma - starts == 2, 10 * first[0].astype(np.int64) + first[1], first[1])
+    ber = np.where(ends - comma == 3, 10 * last[0].astype(np.int64) + last[1], last[1])
+    if not (((rssi <= 31) | (rssi == RSSI_UNKNOWN)) & ((ber <= 7) | (ber == RSSI_UNKNOWN))).all():
+        return None
+    return rssi, ber
+
+
+def _iso_texts(ts: np.ndarray, layout: str) -> np.ndarray:
+    """The ``isoformat`` texts of valid timestamp rows in ``layout``, as one ``S`` column.
+
+    ``T`` between date and time, a fraction only where it is not zero, and ``Z``, ``z`` and
+    ``-00:00`` as ``+00:00``: as ``np.array(texts, dtype="S")`` holds them, its width that
+    of the longest text and each shorter one padded with NUL bytes.
+    """
+    fraction, offset = "." in layout, "+" in layout or "Z" in layout
+    iso = np.empty((len(ts), 19 + 7 * fraction + 6 * offset), dtype=np.uint8)
+    iso[:, :26 if fraction else 19] = ts[:, :26 if fraction else 19]
+    iso[:, 10] = ord("T")
+    if offset:
+        if "Z" in layout:
+            iso[:, -6:] = np.frombuffer(b"+00:00", np.uint8)
+        else:
+            iso[:, -6:] = ts[:, -6:]
+            iso[(ts[:, -5:] == np.frombuffer(b"00:00", np.uint8)).all(axis=1), -6] = ord("+")
+    if fraction:
+        zero = (ts[:, 20:26] == ord("0")).all(axis=1)
+        iso[zero, 19:-7] = iso[zero, 26:]
+        iso[zero, -7:] = 0
+        if zero.all():
+            iso = iso[:, :-7].copy()
+    return iso.view(f"S{iso.shape[1]}").reshape(-1)
+
+
 def _dataset(numbers, fields, fault, int_message, environment, antenna) -> RssiDataset:
     """The dataset of the readings on lines ``numbers``.
 
@@ -155,7 +297,7 @@ def _dataset(numbers, fields, fault, int_message, environment, antenna) -> RssiD
     first bad line is reported, and on it the checks run in the order format, timestamp,
     integers, ranges.  A failed ``int`` reads ``int_message``, or its own text.  ``fields``
     is emptied once its columns are taken, to free its rows early.  Timestamps are checked by
-    ``fromisoformat`` and kept as their ``isoformat`` text; no datetime is kept.
+    ``fromisoformat`` and kept as their ``isoformat`` texts, one ``S`` column; no datetime is kept.
     """
     bad = [type(f) is str for f in fields]
     if True in bad:
@@ -189,15 +331,15 @@ def _dataset(numbers, fields, fault, int_message, environment, antenna) -> RssiD
     # In place: a new text can take its old one's memory.
     for i, (text, known) in enumerate(zip(cleaned, canonical)):
         cleaned[i] = text.replace(" ", "T") if known else datetime.fromisoformat(text).isoformat()
-    iso = _IsoText(cleaned)
+    iso = np.array(cleaned, dtype="S")
     del cleaned
     try:
-        dataset = RssiDataset(iso, rssi, ber, environment, antenna)
+        rssi, ber = _code_columns(rssi, ber, iso.size)
     except _CodeRangeError as exc:
         raise AtLogParseError(numbers[exc.index], str(exc)) from None
     if fault is not None:
         raise fault
-    return dataset
+    return RssiDataset._parsed(iso, rssi, ber, environment, antenna)
 
 
 def parse_at_csq_log(text: str, environment: str = "", antenna: str = "") -> RssiDataset:
@@ -205,8 +347,14 @@ def parse_at_csq_log(text: str, environment: str = "", antenna: str = "") -> Rss
 
     Blank lines and lines starting with ``#`` are skipped.  Anything else must
     match the +CSQ line grammar; violations raise :class:`AtLogParseError`
-    with the line number.
+    with the line number.  A log that ``_read_columns`` declines is read line by line.
     """
+    found = _read_columns(text, False, environment, antenna)
+    return _at_lines(text, environment, antenna) if found is None else found
+
+
+def _at_lines(text: str, environment: str = "", antenna: str = "") -> RssiDataset:
+    """``parse_at_csq_log`` of any text, line by line: the grammar behind every error."""
     lines = [raw.strip() for raw in text.splitlines()]
     numbers = [n for n, line in enumerate(lines, start=1) if line and line[0] != "#"]
     data = [lines[n - 1] for n in numbers]
@@ -220,8 +368,15 @@ def parse_at_csq_log(text: str, environment: str = "", antenna: str = "") -> Rss
 def parse_rssi_csv(text: str, environment: str = "", antenna: str = "") -> RssiDataset:
     """Alternative CSV ingestion with exact header ``timestamp,rssi,ber``.
 
-    Empty records are skipped; the line numbers in errors count records.
+    Empty records are skipped; the line numbers in errors count records.  A log that
+    ``_read_columns`` declines is read by ``csv``.
     """
+    found = _read_columns(text, True, environment, antenna)
+    return _csv_records(text, environment, antenna) if found is None else found
+
+
+def _csv_records(text: str, environment: str = "", antenna: str = "") -> RssiDataset:
+    """``parse_rssi_csv`` of any text, record by record: the grammar behind every error."""
     reader = csv.reader(io.StringIO(text))
     records, fault = [], None
     try:  # tuples of strings leave the garbage collector's care at its first pass

@@ -15,13 +15,14 @@ import pickle
 import random
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slcap import _cpus, cli, parse_at_csq_log, parse_rssi_csv
 from slcap.cli import run_command
-from slcap.rssi import _IsoText
+from slcap.rssi import _read_columns
 
 STAMPS = [  # canonical forms, then forms that go through fromisoformat
     "2025-11-04T09:{m:02d}:{s:02d}Z", "2025-11-04 09:{m:02d}:{s:02d}+02:00",
@@ -30,23 +31,24 @@ STAMPS = [  # canonical forms, then forms that go through fromisoformat
 ]
 
 
-def log_texts(n, seed):
+def log_texts(n, seed, stamps=STAMPS):
     """The same ``n`` readings as an AT log, with comments and blank lines, and as CSV."""
     rng = random.Random(seed)
     at, table = ["# session", ""], ["timestamp,rssi,ber"]
     for i in range(n):
-        stamp = rng.choice(STAMPS).format(m=i // 60 % 60, s=i % 60)
+        stamp = rng.choice(stamps).format(m=i // 60 % 60, s=i % 60)
         rssi, ber = rng.choice([*range(32), 99]), rng.choice([*range(8), 99])
         at.append(f"{stamp} +CSQ: {rssi},{ber}" + ("\n# marker" if i % 97 == 5 else ""))
         table.append(f"{stamp},{rssi},{ber}")
     return "\n".join(at) + "\n", "\n".join(table) + "\n"
 
 
-def write_logs(tmp_path, fmt, n_novel=300, n_baseline=250, novel_bad=None, baseline_bad=None):
+def write_logs(tmp_path, fmt, n_novel=300, n_baseline=250, novel_bad=None, baseline_bad=None,
+               stamps=STAMPS):
     """novel and baseline logs under ``tmp_path``; a ``*_bad`` line replaces that line."""
     paths = []
     for name, n, bad in (("novel", n_novel, novel_bad), ("baseline", n_baseline, baseline_bad)):
-        text = log_texts(n, name)[fmt == "csv"]
+        text = log_texts(n, name, stamps)[fmt == "csv"]
         if bad is not None:
             lines = text.splitlines(keepends=True)
             lines[bad - 1] = "not a reading\n"
@@ -95,9 +97,13 @@ def assert_no_child_left():
 
 
 def assert_same_dataset(got, expected):
-    assert type(got.iso_timestamps) is _IsoText
+    # In the parsed form: the isoformat texts as one read-only S column, and neither
+    # the tuple of texts nor a datetime built from it.
+    assert "iso_timestamps" not in vars(got) and "timestamps" not in vars(got)
+    assert got.iso_column.dtype.kind == "S" and not got.iso_column.flags.writeable
+    assert got.iso_column.dtype == expected.iso_column.dtype
+    assert got.iso_column.tobytes() == expected.iso_column.tobytes()
     assert got.iso_timestamps == expected.iso_timestamps
-    assert "timestamps" not in vars(got)  # no datetime was built
     for column in ("rssi", "ber"):
         a, b = getattr(got, column), getattr(expected, column)
         assert a.dtype == b.dtype == np.int64
@@ -118,6 +124,20 @@ def rssi_run(tmp_path, fmt, novel, baseline, capsys, out="out"):
 @pytest.mark.parametrize("fmt", ["at", "csv"])
 def test_forked_datasets_are_the_serial_ones(tmp_path, forks, fmt):
     novel, baseline = write_logs(tmp_path, fmt)
+    first, second = parses(novel, baseline, fmt)
+    got = parse_both(first, second, os.path.getsize(novel) + os.path.getsize(baseline))
+    assert len(forks) == 1
+    assert_no_child_left()
+    for dataset, expected in zip(got, (first(), second())):
+        assert_same_dataset(dataset, expected)
+
+
+@pytest.mark.parametrize("fmt", ["at", "csv"])
+def test_forked_columnar_datasets_are_the_serial_ones(tmp_path, forks, fmt):
+    # Logs of one timestamp layout are read by columns; the mixed logs above, line by line.
+    novel, baseline = write_logs(tmp_path, fmt, stamps=STAMPS[1:2])
+    for path in (novel, baseline):
+        assert _read_columns(Path(path).read_text(), fmt == "csv") is not None
     first, second = parses(novel, baseline, fmt)
     got = parse_both(first, second, os.path.getsize(novel) + os.path.getsize(baseline))
     assert len(forks) == 1

@@ -83,6 +83,19 @@ def test_file_at_the_input_budget_is_read(tmp_path, monkeypatch, oversized):
                                     f"input budget of {size - 1} bytes\n")
 
 
+@pytest.mark.parametrize("kind", FILE_KINDS)
+@pytest.mark.parametrize(("head", "line"), [(b"", 1), (b"x", 1), (b"a\r\nb\rc\n", 4),
+                                            (b"a\x0cb\n", 3)])
+def test_file_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path, kind, head, line):
+    # Lines as str.splitlines counts them, universal newlines and form feeds included.
+    paths = write_inputs(tmp_path)
+    data = head + b"\xff" + paths[kind].read_bytes()
+    paths[kind].write_bytes(data)
+    code, err = run_quietly(["--out-dir", str(tmp_path / "out"), *budget_argv(paths, kind)])
+    assert (code, err) == (2, f"error: {paths[kind]}: line {line}: not UTF-8 text "
+                              f"(invalid start byte at byte {len(head)})\n")
+
+
 # ---------------------------------------------------------------------------
 # Generated layouts
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cases
+from readers import assert_same_or_declined, bits
 from slcap import (
     ENCODINGS,
     UNIT_SCALE,
@@ -341,19 +342,10 @@ def reference_parse(text):
     return NetworkData(frequencies_hz=np.array(freqs), s=s, z0_ohm=fmt.z0_ohm)
 
 
-def outcome(parse, text):
-    """What ``parse`` makes of ``text``: the network's bits, or the error's type, text and line."""
-    try:
-        net = parse(text)
-    except (ValueError, ArithmeticError) as exc:
-        return type(exc).__name__, str(exc), getattr(exc, "line_number", None)
-    return net.z0_ohm, net.frequencies_hz.tobytes(), net.s.shape, net.s.tobytes()
-
-
 def assert_same(text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the array pass lets no warning out
-        assert outcome(parse_touchstone, text) == outcome(reference_parse, text)
+        assert assert_same_or_declined(parse_touchstone, reference_parse, text)
 
 
 def random_document(encoding, unit, ports, n, seed):
@@ -513,7 +505,7 @@ def cli_outcome(path: Path, **kw):
         net = cli._parse_input(str(path), parse_touchstone, **kw)
     except cli.InputError as exc:
         return str(exc)
-    return outcome(lambda _: net, None)
+    return bits(net)
 
 
 def assert_same_from_file(doc):
@@ -528,11 +520,10 @@ def assert_same_from_file(doc):
             path.write_bytes(doc)
         else:
             path.write_text(doc, encoding="utf-8", newline="")
-        net = _parse_file(path)
-        if net is not None:
-            assert outcome(lambda _: net, None) == outcome(parse_touchstone, doc)
-        assert cli_outcome(path, from_path=_parse_file) == cli_outcome(path)
-    return net is not None
+        return assert_same_or_declined(
+            lambda _: _parse_file(path),
+            lambda doc: parse_touchstone(doc if isinstance(doc, str) else doc.decode()), doc,
+            cli=lambda _, fast: cli_outcome(path, from_path=_parse_file if fast else None))
 
 
 class TestReaderPaths:
