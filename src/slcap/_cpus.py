@@ -1,22 +1,19 @@
 """Independent blocks of work spread over the CPUs in the affinity set, with no setting.
 
 ``_run_blocks`` runs numeric blocks on threads (numpy releases the GIL).
-``fan_out`` runs ranges of items in forked processes, for its two callers:
-``write_blocks``, which writes every output file slcap writes (each CSV,
-``pattern.csv`` and the Touchstone file, the reports and the SVGs) and may
-format a table's blocks in ranges, and the ``rssi`` command, which may parse
-its baseline log while it parses the novel log.  Both follow one rule for how
-many ranges pay.  Each forked process is a ``_Child``, which spills its bytes
-into an unnamed binary temporary file, and each gives the same result, or
-error, as the plain serial calls, at any CPU count.  Forking is POSIX-only;
-the children's memory is in no figure that slcap reports.
+``write_blocks`` writes every output file slcap writes (each CSV,
+``pattern.csv`` and the Touchstone file, the reports and the SVGs), and may
+format a table's blocks in ranges in forked processes.  Each forked process
+is a ``_Child``, which spills its bytes into an unnamed binary temporary
+file, and the file's bytes, or its error, are those of the plain serial loop
+at any CPU count.  Forking is POSIX-only; the children's memory is in no
+figure that slcap reports.
 """
 from __future__ import annotations
 
 import contextlib
 import math
 import os
-import pickle
 import shutil
 import tempfile
 import threading
@@ -67,7 +64,7 @@ def _run_blocks(block, n_blocks: int) -> None:
 
 def _fork() -> int:
     # From Python 3.12, fork() beside other OS threads (numpy's BLAS pool) warns
-    # that the child may deadlock.  A ``_Child`` only formats or parses text, writes
+    # that the child may deadlock.  A ``_Child`` only formats text, writes
     # it to its spill file and leaves with os._exit, so the warning is not shown.
     with warnings.catch_warnings():
         warnings.filterwarnings(
@@ -81,11 +78,6 @@ def _fork() -> int:
 # On a 2-CPU x86_64 host, in a 52 MB process, two ranges ran slower than one on
 # a 1-degree pattern grid (57 ms to format) and faster on a 0.8-degree one (89 ms).
 _CHILD_S = 0.02
-
-# Log text parsed per second, to estimate a parse's time from its files' sizes: the
-# seed-1 bench logs, AT and CSV, parsed at 8-15 MB/s on the same host, about 10 in
-# the median.  So two logs pay for a child from about 800 KB together.
-_PARSE_BYTES_PER_S = 10e6
 
 # Rows per block of a table's text: bounds the text held at once, not a setting.
 # The writers read it at each call.
@@ -140,49 +132,26 @@ class _Child:
         return load(self.spill)
 
 
-def fan_out(n_items: int, work_s: float, run, save=None, load=pickle.load) -> list:
-    """``[run(lo, hi) for (lo, hi) in ranges]``: items ``0 .. n_items - 1`` split into ranges.
-
-    The ranges are contiguous and in order: at most one per usable CPU, one per
-    item, and ``isqrt(work_s / _CHILD_S)`` for a work of ``work_s`` seconds in all.
-    The caller forks its children one after another before it runs range 0, so n
-    ranges take about (n - 1) * c + W / n for a cost c per child, which is least
-    at n = sqrt(W / c).  One range, as without ``os.fork``, is the plain call.
-
-    A ``_Child`` runs each other range as ``save(lo, hi, spill)``, by default a
-    pickle of ``run(lo, hi)``, and its result is ``load(spill)``; if the child
-    failed, it is ``run(lo, hi)`` in the caller.  So the results are those of the
-    plain calls, and an error is the first that they raise: the caller's range,
-    then each child's range in turn.  Every child is killed and reaped before an
-    error leaves.
-    """
-    most = math.isqrt(int(work_s / _CHILD_S)) if hasattr(os, "fork") else 1
-    n_ranges = max(1, min(_usable_cpus(), n_items, most))
-    bounds = [n_items * k // n_ranges for k in range(n_ranges + 1)]
-    ranges = list(zip(bounds[1:-1], bounds[2:]))  # one child each
-    if save is None:
-        def save(lo, hi, spill):
-            pickle.dump(run(lo, hi), spill, pickle.HIGHEST_PROTOCOL)
-    with contextlib.ExitStack() as stack:
-        children = [stack.enter_context(_Child(partial(save, lo, hi))) for lo, hi in ranges]
-        results = [run(0, bounds[1])]
-        for child, (lo, hi) in zip(children, ranges):
-            results.append(child.result(load, partial(run, lo, hi)))
-    return results
-
-
 def write_blocks(path, head: str, block, n_blocks: int) -> None:
     """Write ``head``, then the texts ``block(0)``, ..., ``block(n_blocks - 1)``, to ``path``.
 
     Every output file slcap writes passes here: the tables, and with no blocks,
     the reports and the SVGs.  Each text is encoded once as UTF-8 and written as
-    bytes, so each LF or CR LF is written as formatted, on every OS.  The time of
-    block 0, formatted first, estimates the work W of all blocks, which
-    ``fan_out`` splits into ranges.  The caller formats the rest of the first
-    range straight into the file; a child formats each other range into its
-    spill file, whose bytes the caller then copies on in order.  So the bytes
-    are those of the plain loop, and any error is raised here as the plain loop
-    raises it.
+    bytes, so each LF or CR LF is written as formatted, on every OS.
+
+    The time of block 0, formatted first, estimates the work W of all blocks,
+    which are split into contiguous ranges, in order: at most one per usable
+    CPU, one per block, and ``isqrt(W / _CHILD_S)``.  The caller forks its
+    children one after another before it formats the rest of the first range,
+    so n ranges take about (n - 1) * c + W / n for a cost c per child, which is
+    least at n = sqrt(W / c).  One range, as without ``os.fork``, is the plain
+    loop.  The caller formats the first range straight into the file; a
+    ``_Child`` formats each other range into its spill file, whose bytes the
+    caller then copies on in order, or the caller formats that range itself if
+    the child failed.  So the bytes are those of the plain loop, and any error
+    is raised here as the plain loop raises it: the caller's range, then each
+    child's range in turn.  Every child is killed and reaped before an error
+    leaves.
     """
     def write_range(lo, hi, out):
         for i in range(lo, hi):
@@ -194,6 +163,14 @@ def write_blocks(path, head: str, block, n_blocks: int) -> None:
         if n_blocks:
             fh.write(block(0).encode())
         work_s = (perf_counter() - start) * n_blocks
-        fan_out(n_blocks, work_s,
-                lambda lo, hi: write_range(max(lo, 1), hi, fh),  # block 0 is written above
-                write_range, lambda spill: shutil.copyfileobj(spill, fh))
+        most = math.isqrt(int(work_s / _CHILD_S)) if hasattr(os, "fork") else 1
+        n_ranges = max(1, min(_usable_cpus(), n_blocks, most))
+        bounds = [n_blocks * k // n_ranges for k in range(n_ranges + 1)]
+        ranges = list(zip(bounds[1:-1], bounds[2:]))  # one child each
+        with contextlib.ExitStack() as stack:
+            children = [stack.enter_context(_Child(partial(write_range, lo, hi)))
+                        for lo, hi in ranges]
+            write_range(1, bounds[1], fh)  # block 0 is written above
+            for child, (lo, hi) in zip(children, ranges):
+                child.result(lambda spill: shutil.copyfileobj(spill, fh),
+                             partial(write_range, lo, hi, fh))

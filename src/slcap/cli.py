@@ -17,7 +17,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, fields
-from functools import partial
 from importlib import import_module
 from pathlib import Path
 
@@ -548,14 +547,12 @@ def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
     _bind("rssi")
     parse = parse_at_csq_log if args.format == "at" else parse_rssi_csv
     logs = {"novel": args.novel_log, "baseline": args.baseline_log}
-    parses = [partial(_parse_input, path, parse, antenna=name) for name, path in logs.items()]
-    # The baseline log may be parsed in a forked process, the work estimated from the sizes
-    # of both logs; a missing log counts 0 bytes here and is _parse_input's error.
-    size = sum(Path(path).stat().st_size for path in logs.values() if Path(path).is_file())
-    ranges = _cpus.fan_out(2, size / _cpus._PARSE_BYTES_PER_S,
-                           lambda lo, hi: [job() for job in parses[lo:hi]])
-    novel, baseline = [dataset for found in ranges for dataset in found]
-
+    datasets = [_parse_input(path, parse, antenna=name) for name, path in logs.items()]
+    for path, dataset in zip(logs.values(), datasets):
+        if dataset.n_known < 2:  # compare_datasets' refusal, naming the log
+            raise ValueError(f"{path}: {dataset.n_known} known readings; "
+                             "each dataset needs at least two")
+    novel, baseline = datasets
     report = compare_datasets(
         novel,
         baseline,

@@ -12,11 +12,9 @@ import csv
 import io
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
-from itertools import count
 
 import numpy as np
 
@@ -42,19 +40,10 @@ __all__ = [
 
 RSSI_UNKNOWN = 99
 
-# A timestamp as ``isoformat`` writes it once a Z is read as +00:00, or with a space before
-# the time: a fraction unless zero, an offset as +-HH:MM but -00:00 (``fromisoformat``
-# carries minutes past 59).
-_ISO = (r"(?a:\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d(?!\.0{6})(?:\.\d{6})?"
-        r"(?:(?!-00:00)[+-]\d\d:[0-5]\d|[Zz])?)")
-_ISO_TEXT = re.compile(_ISO)
 # Matched in full against one stripped line.  The codes hold no "+", so the timestamp
-# ends at the whitespace before the last "+CSQ:".  A canonical one is tried first, and
-# sets the empty group ``iso``; any other is found from the end by a greedy ``.*\S``,
-# with less backtracking than ``.+?`` from the start.
-_CSQ_LINE = re.compile(
-    rf"(?P<ts>{_ISO}(?P<iso>)|.*\S)\s+\+CSQ:\s*(?P<rssi>\d+)\s*,\s*(?P<ber>\d+)\s*"
-)
+# ends at the whitespace before the last "+CSQ:": it is found from the end by a greedy
+# ``.*\S``, with less backtracking than ``.+?`` from the start.
+_CSQ_LINE = re.compile(r"(?P<ts>.*\S)\s+\+CSQ:\s*(?P<rssi>\d+)\s*,\s*(?P<ber>\d+)\s*")
 
 
 class AtLogParseError(ValueError):
@@ -291,8 +280,6 @@ def _dataset(numbers, fields, fault, int_message, environment, antenna) -> RssiD
 
     Each of ``fields`` is a reading's (timestamp, rssi, ber) texts, or the message of the
     format's own error on its line; ``fault`` is an error after the last of them, or None.
-    An AT line's match holds ``_CSQ_LINE``'s ``iso`` group second, not None where its
-    timestamp is already canonical; a CSV cell's timestamp is checked here.
     Each check runs only on the readings before the first that failed an earlier one, so the
     first bad line is reported, and on it the checks run in the order format, timestamp,
     integers, ranges.  A failed ``int`` reads ``int_message``, or its own text.  ``fields``
@@ -307,17 +294,16 @@ def _dataset(numbers, fields, fault, int_message, environment, antenna) -> RssiD
     # A comprehension per column: zip(*fields) would make a tracked iterator per row.
     ts_texts = [f[0].strip() for f in fields]
     codes, levels = [f[-2] for f in fields], [f[-1] for f in fields]
-    canonical = [f[1] is not None for f in fields] if fields and len(fields[0]) == 4 else None
     n = len(fields)
     fields.clear()
     cleaned = [ts[:-1] + "+00:00" if ts[-1:] in ("Z", "z") else ts for ts in ts_texts]
-    parsed = count()
-    try:  # at C speed, dropping each datetime; ``parsed`` counts the texts that parsed
-        deque(zip(map(datetime.fromisoformat, cleaned), parsed), maxlen=0)
+    iso = []
+    try:  # at C speed; extend keeps what it appended before the text that raised
+        iso.extend(map(datetime.isoformat, map(datetime.fromisoformat, cleaned)))
     except ValueError:
-        n = next(parsed)
+        n = len(iso)
         fault = AtLogParseError(numbers[n], f"timestamp {ts_texts[n]!r} is not ISO-8601")
-    del ts_texts
+    del ts_texts, cleaned
     rssi, ber = [], []
     for column, texts in ((rssi, codes), (ber, levels)):
         try:  # extend keeps what it appended before the item that raised
@@ -325,14 +311,8 @@ def _dataset(numbers, fields, fault, int_message, environment, antenna) -> RssiD
         except ValueError as exc:
             n = len(column)
             fault = AtLogParseError(numbers[n], int_message or str(exc))
-    del codes, levels, cleaned[n:], rssi[n:]
-    if canonical is None:
-        canonical = map(_ISO_TEXT.fullmatch, cleaned)
-    # In place: a new text can take its old one's memory.
-    for i, (text, known) in enumerate(zip(cleaned, canonical)):
-        cleaned[i] = text.replace(" ", "T") if known else datetime.fromisoformat(text).isoformat()
-    iso = np.array(cleaned, dtype="S")
-    del cleaned
+    del codes, levels, iso[n:], rssi[n:]
+    iso = np.array(iso, dtype="S")
     try:
         rssi, ber = _code_columns(rssi, ber, iso.size)
     except _CodeRangeError as exc:

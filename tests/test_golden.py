@@ -363,20 +363,18 @@ def test_every_run_is_pinned(outputs):
 def test_outputs_match_pinned_hashes_when_every_writer_forks(tmp_path, monkeypatch):
     # Blocks of 7 rows on 3 CPUs, and any work pays for a child: every CSV,
     # pattern.csv and Touchstone file of three blocks or more is written in
-    # three ranges, two of them forked.  Any log pays for a child too, so each
-    # rssi run parses its baseline log in a forked process.
+    # three ranges, two of them forked.  Every fork is a writer's: an rssi run
+    # parses its two logs in turn, in the caller.
     monkeypatch.setattr(_cpus, "BLOCK_ROWS", 7)
     monkeypatch.setattr(_cpus, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(_cpus, "_CHILD_S", 1e-15)
-    monkeypatch.setattr(_cpus, "_PARSE_BYTES_PER_S", 1e-9)
     forks, jobs, writing = [], [], []
     fork = _cpus._fork
     monkeypatch.setattr(_cpus, "_fork", lambda: forks.append(None) or fork())
 
     class Child(_cpus._Child):
         def __init__(self, work):
-            # A job made inside write_blocks is a range of a file; any other, an
-            # rssi command's parse of its baseline log.
+            # A job made inside write_blocks is a range of a file; any other, a parse.
             jobs.append("write_blocks" if writing else "parse")
             super().__init__(work)
 
@@ -391,8 +389,7 @@ def test_outputs_match_pinned_hashes_when_every_writer_forks(tmp_path, monkeypat
     monkeypatch.setattr(_cpus, "_Child", Child)
     monkeypatch.setattr(_cpus, "write_blocks", write_blocks)
     assert golden_outputs(tmp_path) == GOLDEN
-    assert len(forks) == len(jobs) and jobs.count("parse") == 2
-    assert set(jobs) == {"parse", "write_blocks"}
+    assert len(forks) == len(jobs) and set(jobs) == {"write_blocks"}
 
 
 def test_every_output_file_passes_the_one_writer(tmp_path, monkeypatch):

@@ -243,8 +243,9 @@ FUZZ_EXAMPLES = 60
 def test_mutated_logs_keep_the_exit_contract(forked, mutation):
     fmt, which, data = mutation
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
-        if forked:  # any log pays for a child on two CPUs, so the baseline parse forks
-            stack.enter_context(mock.patch.object(_cpus, "_PARSE_BYTES_PER_S", 1e-9))
+        if forked:  # any work pays for a child on two CPUs, so each table of 8 rows forks
+            stack.enter_context(mock.patch.object(_cpus, "BLOCK_ROWS", 7))
+            stack.enter_context(mock.patch.object(_cpus, "_CHILD_S", 1e-15))
             stack.enter_context(mock.patch.object(_cpus, "_usable_cpus", lambda: 2))
         paths = [Path(tmp) / name for name in GOLDEN_LOGS[fmt]]
         for path, name in zip(paths, GOLDEN_LOGS[fmt]):

@@ -504,6 +504,32 @@ def test_ranges_are_no_more_than_the_work_pays_for(tmp_path, monkeypatch, cpus, 
     assert_no_child_left()
 
 
+# (usable CPUs, W in child costs).  W = 3.5 is over one child's cost but short of the four
+# that pay for a second range; each W sits half a cost clear of a whole one.
+ONE_RULE = [(1, 100.5), (2, 0.5), (2, 3.5), (2, 4.5), (3, 9.5), (8, 3.5), (8, 48.5), (8, 63.5)]
+
+
+@pytest.mark.parametrize(("cpus", "work"), ONE_RULE)
+def test_writer_follows_one_rule(tmp_path, monkeypatch, cpus, work):
+    # The writer's 8 blocks make min(CPUs, blocks, isqrt(W / _CHILD_S)) ranges, one of
+    # them the caller's, and at least one.
+    forks = []
+    fork = _cpus._fork
+    monkeypatch.setattr(_cpus, "_fork", lambda: forks.append(None) or fork())
+    monkeypatch.setattr(_cpus, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_cpus, "_CHILD_S", 1.0)
+    clock = [0.0]  # moved only by block 0, by an eighth of W
+    monkeypatch.setattr(_cpus, "perf_counter", lambda: clock[0])
+
+    def block(i):
+        clock[0] += work / 8 if i == 0 else 0.0
+        return numbered_block(i)
+
+    assert write_numbered(tmp_path / "out.txt", block, 8) == "head\n" + serial_text(8)
+    assert len(forks) + 1 == max(1, min(cpus, 8, math.isqrt(int(work))))
+    assert_no_child_left()
+
+
 def test_small_pattern_on_many_cpus_forks_few_children(tmp_path, monkeypatch):
     # A 1-degree grid on 180 CPUs: a child per theta row would cost more than its row.
     monkeypatch.setattr(_cpus, "_usable_cpus", lambda: 180)
@@ -594,8 +620,8 @@ def test_forked_write_leaves_no_output_twice_and_no_file(tmp_path):
 
 
 # Every fork path once, in a process where a ResourceWarning is an error: three
-# ranges of a CSV, a range whose child fails, a refused spill file, a forked
-# parse of two tiny logs, and a report and an SVG written with no blocks.  Two
+# ranges of a CSV, a range whose child fails, a refused spill file, the tables
+# of an rssi run on two tiny logs, and a report and an SVG written with no blocks.  Two
 # analyze runs open their Touchstone files: one read from the file, one declined
 # and read as text.  An unclosed file or an unreaped child shows as stderr text
 # or as a failed assert.
@@ -603,7 +629,7 @@ LEAK_CHECK = """
 import os, sys, tempfile
 from pathlib import Path
 from slcap import _cpus, cli
-_cpus.BLOCK_ROWS, _cpus._CHILD_S, _cpus._PARSE_BYTES_PER_S = 7, 1e-15, 1e-9
+_cpus.BLOCK_ROWS, _cpus._CHILD_S = 7, 1e-15
 _cpus._usable_cpus = lambda: 3
 forks, fork = [], _cpus._fork
 _cpus._fork = lambda: forks.append(None) or fork()
@@ -651,8 +677,8 @@ def test_every_fork_path_leaves_no_file_open_and_no_child(tmp_path):
             str(tmp_path)]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
-    # rssi: the baseline parse, then two forked ranges of each of its three 20-row CSVs.
-    assert int(proc.stdout.splitlines()[-1]) == 2 + 1 + 3 * 2
+    # rssi: two forked ranges of each of its three 20-row CSVs, and no forked parse.
+    assert int(proc.stdout.splitlines()[-1]) == 2 + 3 * 2
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "baseline.log", "comparison.csv", "comparison.txt", "declined", "declined.s1p",
         "failed_child.txt", "no_spill.txt", "novel.log", "plain", "plain.s1p", "rssi.svg",
