@@ -2,7 +2,8 @@
 
 Whatever the CPU count, the command gives the outputs of the serial run, and
 forks only to write its tables.  A bad novel log is reported before a bad
-baseline log, and a log with too few known readings is named with its count.
+baseline log, and a log with too few known readings is named with its count.  A log
+that the columnar reader declines gives the same outputs as the one it takes.
 """
 import os
 import pickle
@@ -12,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slcap import _cpus, parse_at_csq_log
+from slcap import _cpus, parse_at_csq_log, parse_rssi_csv
 from slcap.cli import run_command
+from slcap.rssi import _read_columns
 
 STAMPS = [  # a log that mixes these forms is read line by line
     "2025-11-04T09:{m:02d}:{s:02d}Z", "2025-11-04 09:{m:02d}:{s:02d}+02:00",
@@ -136,6 +138,51 @@ def test_too_few_known_readings_name_the_log(tmp_path, capsys, side, fmt):
     assert (code, err) == (
         1, f"error: {paths[side]}: 1 known readings; each dataset needs at least two\n")
     assert files == {}
+
+
+@pytest.mark.parametrize("fmt", ["at", "csv"])
+@pytest.mark.parametrize("side", ["novel", "baseline"])
+def test_a_log_of_no_known_reading_is_named(tmp_path, capsys, side, fmt):
+    # An empty log, and one whose every reading has the unknown code 99.
+    paths = dict(zip(("novel", "baseline"), write_logs(tmp_path, fmt)))
+    unknown = ["2025-11-04T09:00:00Z", "99", "0"], ["2025-11-04T09:00:01Z", "99", "99"]
+    if fmt == "csv":
+        texts = ["timestamp,rssi,ber\n", "timestamp,rssi,ber\n" + "".join(
+            f"{stamp},{rssi},{ber}\n" for stamp, rssi, ber in unknown)]
+    else:
+        texts = ["", "".join(f"{stamp} +CSQ: {rssi},{ber}\n" for stamp, rssi, ber in unknown)]
+    for text in texts:
+        Path(paths[side]).write_text(text)
+        code, err, files = rssi_run(tmp_path, fmt, paths["novel"], paths["baseline"], capsys)
+        assert (code, err) == (
+            1, f"error: {paths[side]}: 0 known readings; each dataset needs at least two\n")
+        assert files == {}
+
+
+def declined(text, fmt):
+    """``text`` as the line parser reads it and the columnar reader declines it."""
+    if fmt == "at":  # a second space before each +CSQ:
+        return text.replace(" +CSQ: ", "  +CSQ: ")
+    head, *rows = text.splitlines(keepends=True)  # each timestamp quoted
+    return head + "".join(f'"{row.partition(",")[0]}",{row.partition(",")[2]}' for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["at", "csv"])
+def test_declined_logs_give_the_columnar_outputs(tmp_path, capsys, fmt):
+    # The line parser writes each timestamp as its isoformat text, as the columns do.
+    (tmp_path / "taken").mkdir()
+    taken = write_logs(tmp_path / "taken", fmt, stamps=STAMPS[1:2])
+    parse = parse_at_csq_log if fmt == "at" else parse_rssi_csv
+    for path in taken:
+        text = Path(path).read_text()
+        assert _read_columns(text, fmt == "csv") is not None
+        (tmp_path / Path(path).name).write_text(declined(text, fmt))
+        assert _read_columns(declined(text, fmt), fmt == "csv") is None
+        assert_same_dataset(parse(declined(text, fmt)), parse(text))
+    expected = rssi_run(tmp_path, fmt, *taken, capsys, "taken_out")
+    assert expected[0] == 0 and expected[1] == ""
+    got = rssi_run(tmp_path, fmt, *(str(tmp_path / Path(p).name) for p in taken), capsys)
+    assert got == expected
 
 
 @pytest.mark.parametrize("fmt", ["at", "csv"])
