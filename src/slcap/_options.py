@@ -1,6 +1,6 @@
-"""The option vocabularies, the one check of a positive (or non-negative) finite
-scalar, and the pattern grid's budget: free of numpy, so that parsing argv and
-building ``RunConfig`` load none.  The numeric modules export these names."""
+"""The option vocabularies, the one check of a positive (or non-negative) finite scalar,
+the pattern grid's budget and the line breaks of ``str.splitlines`` alone: free of numpy,
+so that parsing argv and building ``RunConfig`` load none; the numeric modules export them."""
 from __future__ import annotations
 
 import math
@@ -22,6 +22,9 @@ ENCODINGS = ("ri", "ma", "db")
 
 # |X| below this (ohms) makes DF = R/|X| meaningless; such points are flagged.
 REACTANCE_EPSILON = 1e-3
+
+# The ASCII breaks at which str.splitlines splits and file lines, numpy and csv do not.
+SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e"
 
 # Largest (theta, phi) grid accepted, checked before any grid is built.
 MAX_GRID_CELLS = 10_000_000

@@ -187,13 +187,9 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 
 def _csv_text(column) -> list[str]:
     """A text column's cells as ``csv.writer`` writes them: quoted when they hold , " CR or LF."""
-    cells = list(map(str, column))
-    joined = "".join(cells)
-    if not any(ch in joined for ch in ',"\r\n'):
-        return cells
     return [
         '"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\r\n') else c
-        for c in cells
+        for c in map(str, column)
     ]
 
 
@@ -548,11 +544,18 @@ def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
     parse = parse_at_csq_log if args.format == "at" else parse_rssi_csv
     logs = {"novel": args.novel_log, "baseline": args.baseline_log}
     datasets = [_parse_input(path, parse, antenna=name) for name, path in logs.items()]
+    # compare_datasets' refusals, each naming the logs it is about
     for path, dataset in zip(logs.values(), datasets):
-        if dataset.n_known < 2:  # compare_datasets' refusal, naming the log
+        if dataset.n_known < 2:
             raise ValueError(f"{path}: {dataset.n_known} known readings; "
                              "each dataset needs at least two")
     novel, baseline = datasets
+    a, b = novel.known_rssi(), baseline.known_rssi()
+    if b.mean() == 0:
+        raise ValueError(f"{args.baseline_log}: baseline mean is zero; ratios are undefined")
+    if a.var() == b.var() == 0 and a.mean() != b.mean():
+        raise ValueError(f"{args.novel_log} and {args.baseline_log}: "
+                         "both samples have zero variance but different means")
     report = compare_datasets(
         novel,
         baseline,

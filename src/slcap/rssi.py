@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._options import check_positive
+from ._options import SPLITLINES_ONLY, check_positive
 from .report import num, report_text
 
 __all__ = [
@@ -54,14 +54,6 @@ class AtLogParseError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
-class _CodeRangeError(ValueError):
-    """A code outside its range; ``index`` is the reading's row."""
-
-    def __init__(self, index: int, message: str):
-        self.index = index
-        super().__init__(message)
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class RssiDataset:
     """A labelled series of readings from one antenna in one environment, as columns.
@@ -70,9 +62,9 @@ class RssiDataset:
     array; ``iso_timestamps`` (a tuple of those texts) and ``timestamps`` (a tuple of
     ``datetime``) are built from it on first read.  A dataset made from datetimes keeps
     those objects as ``timestamps``.  ``rssi`` and ``ber`` are read-only int64 arrays of the
-    same length.  The codes are checked as arrays of Python ints before the cast, so one past
-    int64 is reported, not wrapped: the first rssi outside 0..31 or ber outside 0..7, other
-    than 99 (unknown), raises ValueError.  ber is kept but unused by the statistics.
+    same length.  The codes are checked pair by pair as Python ints before the cast, so one
+    past int64 is reported, not wrapped: the first rssi outside 0..31 or ber outside 0..7,
+    other than 99 (unknown), raises ValueError.  ber is kept but unused by the statistics.
     """
 
     timestamps: tuple[datetime, ...]  # read through the cached_property below
@@ -136,15 +128,19 @@ def _code_columns(rssi, ber, n: int) -> tuple[np.ndarray, np.ndarray]:
     rssi, ber = np.array(rssi, dtype=object), np.array(ber, dtype=object)
     if rssi.shape != (n,) or ber.shape != rssi.shape:
         raise ValueError("timestamps, rssi and ber must be columns of one length")
-    bad_rssi = ((rssi < 0) | (rssi > 31)) & (rssi != RSSI_UNKNOWN)
-    bad_ber = ((ber < 0) | (ber > 7)) & (ber != RSSI_UNKNOWN)
-    bad = np.flatnonzero(bad_rssi | bad_ber)
-    if bad.size:
-        i = int(bad[0])
-        if bad_rssi[i]:
-            raise _CodeRangeError(i, f"rssi {rssi[i]} outside 0..31 / 99")
-        raise _CodeRangeError(i, f"ber {ber[i]} outside 0..7 / 99")
+    fault = next(filter(None, map(_code_fault, rssi, ber)), None)
+    if fault:
+        raise ValueError(fault)
     return rssi.astype(np.int64), ber.astype(np.int64)
+
+
+def _code_fault(rssi, ber) -> str | None:
+    """Why one reading's codes are out of range, or None: rssi 0..31, ber 0..7, or 99."""
+    if not (0 <= rssi <= 31 or rssi == RSSI_UNKNOWN):
+        return f"rssi {rssi} outside 0..31 / 99"
+    if not (0 <= ber <= 7 or ber == RSSI_UNKNOWN):
+        return f"ber {ber} outside 0..7 / 99"
+    return None
 
 
 # The timestamp layouts that ``_read_columns`` takes, by width, one character class per
@@ -179,7 +175,7 @@ def _read_columns(text: str, table: bool, environment: str = "", antenna: str = 
     any fault.  The timestamps are kept as their ``isoformat`` texts.
     """
     if (not text or not text.isascii() or "\r" in text and text.count("\r") != text.count("\r\n")
-            or any(c in text for c in "\v\f\x1c\x1d\x1e") or table and '"' in text):
+            or any(c in text for c in SPLITLINES_ONLY) or table and '"' in text):
         return None
     raw = np.frombuffer(text.encode(), dtype=np.uint8)
     breaks = np.flatnonzero(raw == ord("\n"))
@@ -275,51 +271,35 @@ def _iso_texts(ts: np.ndarray, layout: str) -> np.ndarray:
     return iso.view(f"S{iso.shape[1]}").reshape(-1)
 
 
-def _dataset(numbers, fields, fault, int_message, environment, antenna) -> RssiDataset:
-    """The dataset of the readings on lines ``numbers``.
+def _readings(rows, int_message, environment, antenna) -> RssiDataset:
+    """The dataset of ``rows``: each a line number and its reading's (timestamp, rssi, ber)
+    texts, or the message of the format's own error on that line.
 
-    Each of ``fields`` is a reading's (timestamp, rssi, ber) texts, or the message of the
-    format's own error on its line; ``fault`` is an error after the last of them, or None.
-    Each check runs only on the readings before the first that failed an earlier one, so the
-    first bad line is reported, and on it the checks run in the order format, timestamp,
-    integers, ranges.  A failed ``int`` reads ``int_message``, or its own text.  ``fields``
-    is emptied once its columns are taken, to free its rows early.  Timestamps are checked by
-    ``fromisoformat`` and kept as their ``isoformat`` texts, one ``S`` column; no datetime is kept.
+    The first bad line raises; on it the checks run in the order format, timestamp, integers,
+    ranges.  A failed ``int`` reads ``int_message``, or its own text.  Each timestamp is
+    checked by ``fromisoformat`` and kept as its ``isoformat`` text.
     """
-    bad = [type(f) is str for f in fields]
-    if True in bad:
-        n = bad.index(True)
-        fault = AtLogParseError(numbers[n], fields[n])
-        del fields[n:]
-    # A comprehension per column: zip(*fields) would make a tracked iterator per row.
-    ts_texts = [f[0].strip() for f in fields]
-    codes, levels = [f[-2] for f in fields], [f[-1] for f in fields]
-    n = len(fields)
-    fields.clear()
-    cleaned = [ts[:-1] + "+00:00" if ts[-1:] in ("Z", "z") else ts for ts in ts_texts]
-    iso = []
-    try:  # at C speed; extend keeps what it appended before the text that raised
-        iso.extend(map(datetime.isoformat, map(datetime.fromisoformat, cleaned)))
-    except ValueError:
-        n = len(iso)
-        fault = AtLogParseError(numbers[n], f"timestamp {ts_texts[n]!r} is not ISO-8601")
-    del ts_texts, cleaned
-    rssi, ber = [], []
-    for column, texts in ((rssi, codes), (ber, levels)):
-        try:  # extend keeps what it appended before the item that raised
-            column.extend(map(int, texts[:n]))
+    iso, rssi, ber = [], [], []
+    for number, fields in rows:
+        if type(fields) is str:
+            raise AtLogParseError(number, fields)
+        ts = fields[0].strip()
+        try:
+            stamp = datetime.fromisoformat(ts[:-1] + "+00:00" if ts[-1:] in ("Z", "z") else ts)
+        except ValueError:
+            raise AtLogParseError(number, f"timestamp {ts!r} is not ISO-8601") from None
+        try:
+            code, level = int(fields[1]), int(fields[2])
         except ValueError as exc:
-            n = len(column)
-            fault = AtLogParseError(numbers[n], int_message or str(exc))
-    del codes, levels, iso[n:], rssi[n:]
-    iso = np.array(iso, dtype="S")
-    try:
-        rssi, ber = _code_columns(rssi, ber, iso.size)
-    except _CodeRangeError as exc:
-        raise AtLogParseError(numbers[exc.index], str(exc)) from None
-    if fault is not None:
-        raise fault
-    return RssiDataset._parsed(iso, rssi, ber, environment, antenna)
+            raise AtLogParseError(number, int_message or str(exc)) from None
+        fault = _code_fault(code, level)
+        if fault:
+            raise AtLogParseError(number, fault)
+        iso.append(stamp.isoformat())
+        rssi.append(code)
+        ber.append(level)
+    return RssiDataset._parsed(np.array(iso, dtype="S"), np.array(rssi, dtype=np.int64),
+                               np.array(ber, dtype=np.int64), environment, antenna)
 
 
 def parse_at_csq_log(text: str, environment: str = "", antenna: str = "") -> RssiDataset:
@@ -335,14 +315,10 @@ def parse_at_csq_log(text: str, environment: str = "", antenna: str = "") -> Rss
 
 def _at_lines(text: str, environment: str = "", antenna: str = "") -> RssiDataset:
     """``parse_at_csq_log`` of any text, line by line: the grammar behind every error."""
-    lines = [raw.strip() for raw in text.splitlines()]
-    numbers = [n for n, line in enumerate(lines, start=1) if line and line[0] != "#"]
-    data = [lines[n - 1] for n in numbers]
-    del lines
-    fields = [m.groups() if m else f"not a +CSQ reading: {line!r}"
-              for line, m in zip(data, map(_CSQ_LINE.fullmatch, data))]
-    del data
-    return _dataset(numbers, fields, None, None, environment, antenna)
+    lines = enumerate(map(str.strip, text.splitlines()), start=1)
+    rows = ((n, m.groups() if (m := _CSQ_LINE.fullmatch(line)) else
+             f"not a +CSQ reading: {line!r}") for n, line in lines if line and line[0] != "#")
+    return _readings(rows, None, environment, antenna)
 
 
 def parse_rssi_csv(text: str, environment: str = "", antenna: str = "") -> RssiDataset:
@@ -357,22 +333,23 @@ def parse_rssi_csv(text: str, environment: str = "", antenna: str = "") -> RssiD
 
 def _csv_records(text: str, environment: str = "", antenna: str = "") -> RssiDataset:
     """``parse_rssi_csv`` of any text, record by record: the grammar behind every error."""
-    reader = csv.reader(io.StringIO(text))
-    records, fault = [], None
-    try:  # tuples of strings leave the garbage collector's care at its first pass
-        records.extend(map(tuple, reader))
+    return _readings(_csv_rows(text), "rssi and ber must be integers", environment, antenna)
+
+
+def _csv_rows(text: str):
+    """The line number and fields, or the fault, of each non-empty record after the header."""
+    n = 0
+    try:  # csv.Error is raised for the record after the last one read
+        for n, record in enumerate(csv.reader(io.StringIO(text)), start=1):
+            if n == 1 and record != ["timestamp", "rssi", "ber"]:
+                raise AtLogParseError(1, f"expected header timestamp,rssi,ber; got "
+                                         f"{','.join(record)!r}")
+            if n > 1 and record:
+                yield n, record if len(record) == 3 else f"expected 3 fields, got {len(record)}"
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
-        fault = AtLogParseError(len(records) + 1, str(exc))
-    del reader  # and with it its copy of the text
-    if not records:
-        raise fault or AtLogParseError(1, "empty document")
-    header = records[0]
-    if header != ("timestamp", "rssi", "ber"):
-        raise AtLogParseError(1, f"expected header timestamp,rssi,ber; got {','.join(header)!r}")
-    numbers = [n for n, record in enumerate(records, start=1) if record and n > 1]
-    fields = [r if len(r) == 3 else f"expected 3 fields, got {len(r)}" for r in records[1:] if r]
-    del records
-    return _dataset(numbers, fields, fault, "rssi and ber must be integers", environment, antenna)
+        raise AtLogParseError(n + 1, str(exc)) from None
+    if not n:
+        raise AtLogParseError(1, "empty document")
 
 
 def rssi_to_dbm(rssi: int) -> float:

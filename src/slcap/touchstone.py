@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _cpus
 from ._frozen import freeze_arrays
-from ._options import ENCODINGS, UNIT_SCALE, check_positive
+from ._options import ENCODINGS, SPLITLINES_ONLY, UNIT_SCALE, check_positive
 
 __all__ = [
     "NetworkData",
@@ -225,8 +225,6 @@ def _read_table(lines) -> tuple[TouchstoneFormat, np.ndarray] | None:
     return fmt, table
 
 
-# ASCII line breaks of str.splitlines that a file's lines, and numpy, run through.
-_SPLITLINES_ONLY = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 _SCAN_BYTES = 2**20
 
 
@@ -234,7 +232,7 @@ def _parse_file(path) -> NetworkData | None:
     """The network of the Touchstone file at ``path``, its table read by numpy from the file.
 
     The text is never held.  The file is read so only when its bytes are ASCII with none
-    of ``_SPLITLINES_ONLY``: then the lines of the file are those that
+    of ``SPLITLINES_ONLY``: then the lines of the file are those that
     :func:`parse_touchstone` splits its text into, and the network is the same, bit for
     bit.  Returns None otherwise, or when the table is declined or the file cannot be
     read; ``parse_touchstone`` of the file's text then reads it, and names any fault.
@@ -242,7 +240,7 @@ def _parse_file(path) -> NetworkData | None:
     try:
         with open(path, "rb") as f:
             while block := f.read(_SCAN_BYTES):
-                if not block.isascii() or any(c in block for c in _SPLITLINES_ONLY):
+                if not block.isascii() or any(c in block for c in SPLITLINES_ONLY.encode()):
                     return None
         with open(path, encoding="ascii") as f:  # universal newlines: \n, \r\n and \r
             found = _read_table(f)

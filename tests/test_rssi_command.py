@@ -159,6 +159,28 @@ def test_a_log_of_no_known_reading_is_named(tmp_path, capsys, side, fmt):
         assert files == {}
 
 
+@pytest.mark.parametrize("fmt", ["at", "csv"])
+@pytest.mark.parametrize(("novel_codes", "baseline_codes", "named", "message"), [
+    ([5, 20, 99], [0, 99, 0], ["baseline"], "baseline mean is zero; ratios are undefined"),
+    ([10, 10], [12, 12], ["novel", "baseline"],
+     "both samples have zero variance but different means"),
+], ids=["zero_baseline_mean", "zero_variance"])
+def test_refusals_name_their_logs(tmp_path, capsys, fmt, novel_codes, baseline_codes, named,
+                                  message):
+    paths = {}
+    for side, codes in (("novel", novel_codes), ("baseline", baseline_codes)):
+        stamps = [f"2025-11-04T09:00:{s:02d}Z" for s in range(len(codes))]
+        if fmt == "csv":
+            text = "timestamp,rssi,ber\n" + "".join(f"{t},{c},0\n" for t, c in zip(stamps, codes))
+        else:
+            text = "".join(f"{t} +CSQ: {c},0\n" for t, c in zip(stamps, codes))
+        paths[side] = tmp_path / f"{side}.{fmt}"
+        paths[side].write_text(text)
+    code, err, files = rssi_run(tmp_path, fmt, str(paths["novel"]), str(paths["baseline"]), capsys)
+    assert (code, err) == (1, f"error: {' and '.join(str(paths[s]) for s in named)}: {message}\n")
+    assert files == {}
+
+
 def declined(text, fmt):
     """``text`` as the line parser reads it and the columnar reader declines it."""
     if fmt == "at":  # a second space before each +CSQ:
