@@ -3,11 +3,11 @@
 ``_run_blocks`` runs numeric blocks on threads (numpy releases the GIL).
 ``write_blocks`` writes every output file slcap writes (each CSV,
 ``pattern.csv`` and the Touchstone file, the reports and the SVGs), and may
-format a table's blocks in ranges in forked processes.  Each forked process
-is a ``_Child``, which spills its bytes into an unnamed binary temporary
-file, and the file's bytes, or its error, are those of the plain serial loop
-at any CPU count.  Forking is POSIX-only; the children's memory is in no
-figure that slcap reports.
+format a table's blocks in ranges in forked processes, each a ``_Child``
+whose ``ok()`` reaps it and says whether its unnamed temporary spill file
+holds its range.  The file's bytes, or its error, are those of the plain
+serial loop at any CPU count.  Forking is POSIX-only; the children's memory
+is in no figure that slcap reports.
 """
 from __future__ import annotations
 
@@ -87,11 +87,10 @@ BLOCK_ROWS = 4096
 class _Child:
     """``work(spill)`` run in a forked child, into an unnamed binary temporary file ``spill``.
 
-    ``result(load, redo)`` reaps the child and returns ``load(spill)``, read from the
-    start, if it exited 0.  Otherwise, as when no file or no process could be had, it
-    returns ``redo()``, run in the caller: so the caller gets the result, or the error,
-    of ``redo()`` alone.  Leaving the ``with`` block kills and reaps a child whose
-    result was not taken, and closes the file.
+    ``ok()`` reaps the child and says whether it exited 0, so that ``spill``, rewound
+    to its start, holds all that ``work`` wrote; it is false, with nothing to reap, when
+    no file or no process could be had.  Leaving the ``with`` block kills and reaps a
+    child not yet reaped, and closes the file.
     """
 
     def __init__(self, work):
@@ -99,7 +98,7 @@ class _Child:
         try:
             self.spill = tempfile.TemporaryFile()
             pid = _fork()
-        except OSError:  # no spill file or no process to spare: ``result`` redoes the work
+        except OSError:  # no spill file or no process to spare: ``ok()`` is false
             return
         if pid == 0:
             code = 1
@@ -115,7 +114,7 @@ class _Child:
         return self
 
     def __exit__(self, *exc_info):
-        if self.pid is not None:  # the caller failed before it took the result
+        if self.pid is not None:  # the caller failed before it called ``ok()``
             import signal  # here only: its enums raised one command's own peak RSS by 0.5 MB
 
             os.kill(self.pid, signal.SIGKILL)
@@ -123,13 +122,10 @@ class _Child:
         if self.spill is not None:
             self.spill.close()
 
-    def result(self, load, redo):
+    def ok(self) -> bool:
         done = self.pid is not None and os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1]) == 0
         self.pid = None  # reaped
-        if not done:
-            return redo()
-        self.spill.seek(0)
-        return load(self.spill)
+        return done and self.spill.seek(0) == 0  # rewound for the caller to read
 
 
 def write_blocks(path, head: str, block, n_blocks: int) -> None:
@@ -172,5 +168,7 @@ def write_blocks(path, head: str, block, n_blocks: int) -> None:
                         for lo, hi in ranges]
             write_range(1, bounds[1], fh)  # block 0 is written above
             for child, (lo, hi) in zip(children, ranges):
-                child.result(lambda spill: shutil.copyfileobj(spill, fh),
-                             partial(write_range, lo, hi, fh))
+                if child.ok():
+                    shutil.copyfileobj(child.spill, fh)
+                else:
+                    write_range(lo, hi, fh)

@@ -39,8 +39,8 @@ _CALLEES = {
                  "power_split_report", "vswr_profile"),
     "radiation": ("directivity", "evaluate_pattern", "find_lobes", "gain", "make_grid",
                   "parse_layout", "polar_cut"),
-    "rssi": ("check_dbm_mapping", "compare_datasets", "dbm_levels", "parse_at_csq_log",
-             "parse_rssi_csv"),
+    "rssi": ("ComparisonError", "check_dbm_mapping", "compare_datasets", "dbm_levels",
+             "parse_at_csq_log", "parse_rssi_csv"),
     "svgplot": ("line_plot_svg",),
 }
 
@@ -543,26 +543,13 @@ def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
     _bind("rssi")
     parse = parse_at_csq_log if args.format == "at" else parse_rssi_csv
     logs = {"novel": args.novel_log, "baseline": args.baseline_log}
-    datasets = [_parse_input(path, parse, antenna=name) for name, path in logs.items()]
-    # compare_datasets' refusals, each naming the logs it is about
-    for path, dataset in zip(logs.values(), datasets):
-        if dataset.n_known < 2:
-            raise ValueError(f"{path}: {dataset.n_known} known readings; "
-                             "each dataset needs at least two")
-    novel, baseline = datasets
-    a, b = novel.known_rssi(), baseline.known_rssi()
-    if b.mean() == 0:
-        raise ValueError(f"{args.baseline_log}: baseline mean is zero; ratios are undefined")
-    if a.var() == b.var() == 0 and a.mean() != b.mean():
-        raise ValueError(f"{args.novel_log} and {args.baseline_log}: "
-                         "both samples have zero variance but different means")
-    report = compare_datasets(
-        novel,
-        baseline,
-        novel_area_mm2=args.novel_area_mm2,
-        baseline_area_mm2=args.baseline_area_mm2,
-        claimed_dbm=_parse_claimed(args.check_dbm),
-    )
+    novel, baseline = (_parse_input(path, parse, antenna=name) for name, path in logs.items())
+    claimed = _parse_claimed(args.check_dbm)
+    try:
+        report = compare_datasets(novel, baseline, novel_area_mm2=args.novel_area_mm2,
+                                  baseline_area_mm2=args.baseline_area_mm2, claimed_dbm=claimed)
+    except ComparisonError as exc:  # name the logs it is about
+        raise ValueError(f"{' and '.join(logs[name] for name in exc.datasets)}: {exc}") from None
     out = Path(cfg.out_dir)
     write_rssi_csv(out / "rssi_novel.csv", novel)
     write_rssi_csv(out / "rssi_baseline.csv", baseline)
@@ -571,9 +558,8 @@ def cmd_rssi(args: argparse.Namespace, cfg: RunConfig) -> int:
     _emit_report(out / "comparison.txt", rows)
     if args.svg:
         known = novel.known_rssi()
-        if known.size:
-            _write_svg(out / "rssi.svg", np.arange(known.size), [("novel rssi", known)],
-                       "sample", "rssi")
+        _write_svg(out / "rssi.svg", np.arange(known.size), [("novel rssi", known)],
+                   "sample", "rssi")
     return 0
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "WelchResult",
     "welch_t_test",
     "ComparisonReport",
+    "ComparisonError",
     "compare_datasets",
     "format_p_value",
 ]
@@ -553,6 +554,14 @@ class ComparisonReport:
         return report_text(self.to_rows())
 
 
+class ComparisonError(ValueError):
+    """A comparison refused; ``datasets`` names the datasets at fault: "novel", "baseline" or both."""
+
+    def __init__(self, message: str, datasets: tuple[str, ...]):
+        super().__init__(message)
+        self.datasets = datasets
+
+
 def compare_datasets(
     novel: RssiDataset,
     baseline: RssiDataset,
@@ -569,16 +578,22 @@ def compare_datasets(
     shows a ratio above 100 there).  ``footprint_ratio`` =
     baseline_area / novel_area when both areas are supplied.  ``claimed_dbm``
     pairs are checked against the affine mapping and mismatches flagged in
-    the report.
+    the report.  It refuses, with a :class:`ComparisonError` in this order: a dataset
+    of fewer than two known readings (the novel one first, with its count), a zero
+    baseline mean, and a refusal of ``welch_t_test`` (naming both datasets).
     """
     a = novel.known_rssi()
     b = baseline.known_rssi()
-    if a.size < 2 or b.size < 2:
-        raise ValueError("each dataset needs at least two known readings")
+    for name, known in (("novel", a), ("baseline", b)):
+        if known.size < 2:
+            raise ComparisonError(f"{known.size} known readings; each dataset needs at least two",
+                                  (name,))
     if b.mean() == 0:
-        raise ValueError("baseline mean is zero; ratios are undefined")
-
-    welch = welch_t_test(a, b)
+        raise ComparisonError("baseline mean is zero; ratios are undefined", ("baseline",))
+    try:
+        welch = welch_t_test(a, b)
+    except ValueError as exc:
+        raise ComparisonError(str(exc), ("novel", "baseline")) from None
     mean_dbm_a, mean_dbm_b = dbm_levels(np.array([a.mean(), b.mean()]))
 
     footprint = None

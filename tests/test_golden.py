@@ -374,7 +374,8 @@ def test_outputs_match_pinned_hashes_when_every_writer_forks(tmp_path, monkeypat
 
     class Child(_cpus._Child):
         def __init__(self, work):
-            # A job made inside write_blocks is a range of a file; any other, a parse.
+            # A job made inside write_blocks is a range of a file; any other is counted
+            # apart, and the last assert finds none.
             jobs.append("write_blocks" if writing else "parse")
             super().__init__(work)
 

@@ -8,6 +8,7 @@ import cases
 import oracles
 from slcap import (
     AtLogParseError,
+    ComparisonError,
     RssiDataset,
     check_dbm_mapping,
     compare_datasets,
@@ -325,6 +326,26 @@ class TestComparison:
         full = parse_at_csq_log(cases.BASELINE_LOG)
         with pytest.raises(ValueError, match="known readings"):
             compare_datasets(tiny, full)
+
+    @pytest.mark.parametrize(("novel_codes", "baseline_codes", "datasets", "message"), [
+        ([20], [5, 6], ("novel",), "1 known readings; each dataset needs at least two"),
+        ([99], [20], ("novel",), "0 known readings; each dataset needs at least two"),
+        ([5, 6], [20, 99], ("baseline",), "1 known readings; each dataset needs at least two"),
+        ([5, 6], [0, 99, 0], ("baseline",), "baseline mean is zero; ratios are undefined"),
+        ([10, 10], [12, 12], ("novel", "baseline"),
+         "both samples have zero variance but different means"),
+    ], ids=["novel_too_few", "both_too_few", "baseline_too_few", "zero_baseline_mean",
+            "zero_variance"])
+    def test_refusals_name_their_datasets(self, novel_codes, baseline_codes, datasets,
+                                          message):
+        def dataset(codes):
+            return parse_at_csq_log("".join(f"2025-11-04T09:00:{s:02d}Z +CSQ: {c},0\n"
+                                            for s, c in enumerate(codes)))
+
+        with pytest.raises(ComparisonError) as excinfo:
+            compare_datasets(dataset(novel_codes), dataset(baseline_codes))
+        assert isinstance(excinfo.value, ValueError)
+        assert (excinfo.value.datasets, str(excinfo.value)) == (datasets, message)
 
     def test_bad_areas(self):
         novel, baseline = self.datasets()

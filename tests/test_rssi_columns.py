@@ -203,17 +203,14 @@ GOLDEN_LOGS = {"at": ("novel.log", "baseline.log"), "csv": ("novel.csv", "baseli
 TOKENS = [*b"0123456789", *b",:+-.ZzT #\"\t\r\n\x0b\x0c\x1c\x00", 0xA0, 0xD9, 0xFF]
 
 
-@st.composite
-def mutations(draw):
-    """(format, which golden log is mutated, its bytes): 1-8 bytes deleted, inserted or
-    replaced, or the head of one line spliced onto the tail of another, in LF or CR LF."""
-    fmt = draw(st.sampled_from(sorted(GOLDEN_LOGS)))
-    which = draw(st.integers(0, 1))
-    data = INPUTS[GOLDEN_LOGS[fmt][which]].encode()
+def mutated(draw, data: bytes, tokens) -> bytes:
+    """``data`` in LF or CR LF form, then 1-8 bytes deleted, inserted or replaced (each new
+    byte one of ``tokens`` or any byte), or the head of one line spliced onto the tail of
+    another."""
     if draw(st.booleans()):
         data = data.replace(b"\n", b"\r\n")
     n = draw(st.integers(1, 8))
-    new = bytes(draw(st.lists(st.one_of(st.sampled_from(TOKENS), st.integers(0, 255)),
+    new = bytes(draw(st.lists(st.one_of(st.sampled_from(tokens), st.integers(0, 255)),
                               min_size=n, max_size=n)))
     at = draw(st.integers(0, len(data)))
     kind = draw(st.sampled_from(["delete", "insert", "replace", "splice"]))
@@ -229,7 +226,15 @@ def mutations(draw):
         lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))] + \
             lines[j][draw(st.integers(0, len(lines[j]))):]
         data = b"".join(lines)
-    return fmt, which, data
+    return data
+
+
+@st.composite
+def mutations(draw):
+    """(format, which golden log is mutated, its bytes, as ``mutated`` makes them)."""
+    fmt = draw(st.sampled_from(sorted(GOLDEN_LOGS)))
+    which = draw(st.integers(0, 1))
+    return fmt, which, mutated(draw, INPUTS[GOLDEN_LOGS[fmt][which]].encode(), TOKENS)
 
 
 # Examples per run: with 2 runs of the command each, the two tests below take about

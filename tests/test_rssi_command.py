@@ -2,8 +2,9 @@
 
 Whatever the CPU count, the command gives the outputs of the serial run, and
 forks only to write its tables.  A bad novel log is reported before a bad
-baseline log, and a log with too few known readings is named with its count.  A log
-that the columnar reader declines gives the same outputs as the one it takes.
+baseline log, and a bad ``--check-dbm`` before any refusal of the comparison; a log
+with too few known readings is named with its count.  A log that the columnar reader
+declines gives the same outputs as the one it takes.
 """
 import os
 import pickle
@@ -179,6 +180,26 @@ def test_refusals_name_their_logs(tmp_path, capsys, fmt, novel_codes, baseline_c
     code, err, files = rssi_run(tmp_path, fmt, str(paths["novel"]), str(paths["baseline"]), capsys)
     assert (code, err) == (1, f"error: {' and '.join(str(paths[s]) for s in named)}: {message}\n")
     assert files == {}
+
+
+@pytest.mark.parametrize(("novel_codes", "baseline_codes"), [
+    ([20, 99], [5, 6]), ([5, 20, 99], [0, 99, 0]), ([10, 10], [12, 12])],
+    ids=["too_few_known", "zero_baseline_mean", "zero_variance"])
+def test_bad_check_dbm_comes_before_a_refusal(tmp_path, capsys, novel_codes, baseline_codes):
+    # The flag is checked before the comparison, so its exit 2 is not hidden by the exit 1.
+    paths = []
+    for side, codes in (("novel", novel_codes), ("baseline", baseline_codes)):
+        paths.append(tmp_path / f"{side}.log")
+        paths[-1].write_text("".join(f"2025-11-04T09:00:{s:02d}Z +CSQ: {c},0\n"
+                                     for s, c in enumerate(codes)))
+    out = tmp_path / "out"
+    argv = ["--out-dir", str(out), "rssi", *map(str, paths), "--check-dbm", "40:-33"]
+    assert run_command(argv[:-2]) == 1
+    capsys.readouterr()
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --check-dbm needs CODE:DBM, got '40:-33': ")
+    assert err.count("\n") == 1 and list(out.iterdir()) == []
 
 
 def declined(text, fmt):

@@ -348,8 +348,9 @@ def test_file_write_holds_one_block(tmp_path, monkeypatch, writer):
             columns = list(random_numbers(np.random.default_rng(n), (6, n)))
             peaks[n] = traced_peak(lambda: cli._write_csv(tmp_path / "out.csv", header, columns))
     # Whole-document writing grows with the sweep: about 40 MB for the 100k-point
-    # Touchstone file, and about 37 MB for the 100k-row CSV.
-    assert peaks[100_000] < 6e6
+    # Touchstone file, and about 37 MB for the 100k-row CSV.  One block peaks at 3.34 MB
+    # (Touchstone) and 1.51 MB (CSV): each bound fails a doubled peak.
+    assert peaks[100_000] < {"touchstone": 5e6, "csv": 2.5e6}[writer]
     assert abs(peaks[100_000] - peaks[25_000]) < 1e6
 
 
