@@ -1,25 +1,27 @@
-"""Read-only array fields for the frozen result types.
+"""Read-only array fields for the frozen result types, also after a copy or unpickling.
 
 Those types are declared ``eq=False``, so they compare and hash by identity: the
 generated ``__eq__`` and ``__hash__`` would compare and hash arrays, and raise.
 """
 from __future__ import annotations
 
-from dataclasses import fields
-
 import numpy as np
 
 
-def freeze_arrays(obj, **checked) -> None:
-    """Store the ``checked`` field values on the frozen dataclass ``obj``, then replace
-    each array field by a read-only view.
-
-    A view, not the array itself, so that an array the caller passed in stays writable.
-    """
-    for f in fields(obj):
-        value = checked[f.name] if f.name in checked else getattr(obj, f.name)
+def freeze_arrays(obj, **values) -> None:
+    """Store ``values`` on the frozen dataclass ``obj``, then make each array in its
+    ``vars`` a read-only view: a view, so that an array the caller passed in stays
+    writable, and ``vars``, not the fields, so that no cached property is computed."""
+    state = vars(obj)
+    state.update(values)
+    for name, value in state.items():
         if isinstance(value, np.ndarray):
-            value = value.view()
-            value.flags.writeable = False
-        object.__setattr__(obj, f.name, value)
+            state[name] = value.view()
+            state[name].flags.writeable = False
 
+
+class Frozen:
+    """Base of the frozen result types: a copy or an unpickled object is read-only too."""
+
+    def __setstate__(self, state):
+        freeze_arrays(self, **state)

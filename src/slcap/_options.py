@@ -1,6 +1,6 @@
 """The option vocabularies, the one check of a positive (or non-negative) finite scalar,
-the pattern grid's budget and the line breaks of ``str.splitlines`` alone: free of numpy,
-so that parsing argv and building ``RunConfig`` load none; the numeric modules export them."""
+the pattern grid's budget, the line breaks of ``str.splitlines`` alone and the parse error
+of a line: free of numpy, so argv and ``RunConfig`` load none; numeric modules export them."""
 from __future__ import annotations
 
 import math
@@ -28,6 +28,14 @@ SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e"
 
 # Largest (theta, phi) grid accepted, checked before any grid is built.
 MAX_GRID_CELLS = 10_000_000
+
+
+class LineError(ValueError):
+    """A parse error that carries the number of the line at fault."""
+
+    def __init__(self, line_number: int, message: str):
+        self.line_number = line_number
+        super().__init__(f"line {line_number}: {message}")
 
 
 def check_positive(_rule: str = "positive", /, **values: float) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._frozen import freeze_arrays
+from ._frozen import Frozen, freeze_arrays
 from ._options import (FIXTURE_MODES, REFLECTION, SERIES_THROUGH, SHUNT_THROUGH,
                        check_non_negative, check_positive)
 from .touchstone import NetworkData, _check_sweep, _magnitude
@@ -44,7 +44,7 @@ class SingularityError(ArithmeticError):
 
 
 @dataclass(frozen=True, eq=False)
-class ImpedanceProfile:
+class ImpedanceProfile(Frozen):
     """Complex impedance versus frequency; a non-finite ``z`` marks an invalid point.
 
     Every non-finite impedance (an extraction pole gives inf or nan) is stored

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import freeze_arrays
+from ._frozen import Frozen, freeze_arrays
 from ._options import L_SECTION, SERIES_RESISTOR, TOPOLOGIES, check_non_negative, check_positive
 from .impedance import ImpedanceProfile, _reflection, impedance_at
 from .touchstone import _magnitude
@@ -100,7 +100,7 @@ class MatchingNetwork:
 
 
 @dataclass(frozen=True, eq=False)
-class VswrProfile:
+class VswrProfile(Frozen):
     """Reflection coefficient and VSWR versus frequency against ``z0_ohm``.
 
     ``unbounded`` marks points with |Gamma| at (or numerically at) unity,
@@ -126,7 +126,7 @@ class VswrProfile:
 
 
 @dataclass(frozen=True, eq=False)
-class PowerSplit:
+class PowerSplit(Frozen):
     """Where the accepted power goes, pointwise across the sweep.
 
     ``antenna_fraction`` + ``resistor_fraction`` = 1 (of the power past the

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import freeze_arrays
+from ._frozen import Frozen, freeze_arrays
 from ._options import REACTANCE_EPSILON, check_positive
 from .impedance import ImpedanceProfile
 
@@ -41,7 +41,7 @@ class ResonanceEstimates:
 
 
 @dataclass(frozen=True, eq=False)
-class CapacitorMetrics:
+class CapacitorMetrics(Frozen):
     """Per-frequency loss metrics; invalid and undefined points carry NaN.
 
     The arrays are stored as read-only views.

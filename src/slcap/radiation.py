@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._cpus import _run_blocks
-from ._frozen import freeze_arrays
-from ._options import check_positive, grid_shape
+from ._frozen import Frozen, freeze_arrays
+from ._options import LineError, check_positive, grid_shape
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -86,7 +86,7 @@ class ElementModel:
 
 
 @dataclass(frozen=True, eq=False)
-class ArrayLayout:
+class ArrayLayout(Frozen):
     """Element positions (meters), complex weights and the operating frequency.
 
     The arrays are stored as read-only views.
@@ -135,7 +135,7 @@ def parse_layout(text: str) -> ArrayLayout:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"line {exc.lineno}: {exc.msg}") from None
+        raise LineError(exc.lineno, exc.msg) from None
     if not isinstance(doc, dict):
         raise ValueError("layout must be a JSON object")
     missing = {"frequency_hz", "positions"} - doc.keys()
@@ -182,7 +182,7 @@ def parse_layout(text: str) -> ArrayLayout:
 
 
 @dataclass(frozen=True, eq=False)
-class RadiationPattern:
+class RadiationPattern(Frozen):
     """Intensity samples on a theta x phi grid at one frequency.
 
     theta covers [0, pi] inclusive; phi covers [0, 2 pi) exclusive of the
@@ -291,8 +291,9 @@ def _pattern_rows(u, layout, sin_t, cos_t, cos_p, sin_p, axes=None) -> None:
         u *= np.maximum(1.0 - proj**2, 0.0)
 
 
-# Theta rows per block of the pattern: bounds each block's memory, not a setting.
+# Theta rows per block, and bytes of a lattice block's axis tables: memory caps, not settings.
 _CHUNK_ROWS = 16
+_TABLE_BYTES = 4 << 20
 
 
 def evaluate_pattern(
@@ -302,9 +303,9 @@ def evaluate_pattern(
 ) -> RadiationPattern:
     """Sample the array intensity on the grid (default 1 degree resolution).
 
-    The grid is evaluated in blocks of ``_CHUNK_ROWS`` theta rows, which caps the
-    memory of each block.  The result is bit-identical at any block size and CPU
-    count; the independent blocks use every CPU in the affinity set, with no setting.
+    The grid is evaluated in blocks of ``_CHUNK_ROWS`` theta rows, fewer (but one at least)
+    where a lattice's axis tables would pass ``_TABLE_BYTES``.  The result is bit-identical
+    at any block size and CPU count; the blocks use every CPU in the affinity set.
     """
     if theta_rad is None or phi_rad is None:
         default_t, default_p = make_grid()
@@ -320,12 +321,16 @@ def evaluate_pattern(
     u = np.empty((theta.size, phi.size), dtype=float)
     axes = [np.unique(c, return_inverse=True) for c in layout.positions_m.T]
     axes = axes if axes[0][0].size + axes[1][0].size < layout.n_elements else None
+    n_rows = _CHUNK_ROWS
+    if axes is not None:  # a complex table per row, phi and distinct x (or y) kept
+        kept = min(axes[0][0].size, axes[1][0].size)
+        n_rows = max(1, min(n_rows, _TABLE_BYTES // (16 * phi.size * kept)))
 
     def block(i):
-        rows = slice(i * _CHUNK_ROWS, (i + 1) * _CHUNK_ROWS)
+        rows = slice(i * n_rows, (i + 1) * n_rows)
         _pattern_rows(u[rows], layout, sin_t[rows], cos_t[rows], cos_p, sin_p, axes)
 
-    _run_blocks(block, -(-theta.size // _CHUNK_ROWS))
+    _run_blocks(block, -(-theta.size // n_rows))
     return RadiationPattern(
         theta_rad=theta, phi_rad=phi, u=u, frequency_hz=layout.frequency_hz
     )

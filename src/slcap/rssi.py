@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._options import SPLITLINES_ONLY, check_positive
+from ._frozen import Frozen, freeze_arrays
+from ._options import SPLITLINES_ONLY, LineError, check_positive
 from .report import num, report_text
 
 __all__ = [
@@ -47,16 +48,12 @@ RSSI_UNKNOWN = 99
 _CSQ_LINE = re.compile(r"(?P<ts>.*\S)\s+\+CSQ:\s*(?P<rssi>\d+)\s*,\s*(?P<ber>\d+)\s*")
 
 
-class AtLogParseError(ValueError):
+class AtLogParseError(LineError):
     """Raised for malformed log content; carries the offending line number."""
 
-    def __init__(self, line_number: int, message: str):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
 
-
-@dataclass(frozen=True, eq=False, init=False)
-class RssiDataset:
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class RssiDataset(Frozen):
     """A labelled series of readings from one antenna in one environment, as columns.
 
     ``iso_column`` holds the timestamps' ``isoformat`` texts as one read-only numpy ``S``
@@ -66,6 +63,7 @@ class RssiDataset:
     same length.  The codes are checked pair by pair as Python ints before the cast, so one
     past int64 is reported, not wrapped: the first rssi outside 0..31 or ber outside 0..7,
     other than 99 (unknown), raises ValueError.  ber is kept but unused by the statistics.
+    A copy or an unpickled dataset is read-only too, and ``repr`` reads neither tuple.
     """
 
     timestamps: tuple[datetime, ...]  # read through the cached_property below
@@ -77,27 +75,17 @@ class RssiDataset:
     def __init__(self, timestamps, rssi, ber, environment: str = "", antenna: str = ""):
         timestamps = tuple(timestamps)
         rssi, ber = _code_columns(rssi, ber, len(timestamps))
-        self.__dict__["timestamps"] = timestamps
         iso = np.array([t.isoformat() for t in timestamps], dtype="S")
-        self._fill(iso, rssi, ber, environment, antenna)
+        freeze_arrays(self, timestamps=timestamps, iso_column=iso, rssi=rssi, ber=ber,
+                      environment=environment, antenna=antenna)
 
     @classmethod
     def _parsed(cls, iso, rssi, ber, environment: str, antenna: str) -> RssiDataset:
         """The dataset of checked columns: ``isoformat`` texts and int64 codes."""
         dataset = cls.__new__(cls)
-        dataset._fill(iso, rssi, ber, environment, antenna)
+        freeze_arrays(dataset, iso_column=iso, rssi=rssi, ber=ber, environment=environment,
+                      antenna=antenna)
         return dataset
-
-    def _fill(self, iso, rssi, ber, environment, antenna):
-        iso.flags.writeable = rssi.flags.writeable = ber.flags.writeable = False
-        self.__dict__.update(iso_column=iso, rssi=rssi, ber=ber, environment=environment,
-                             antenna=antenna)
-
-    def __setstate__(self, state):
-        # An unpickled array may be writeable; the columns of a dataset are not.
-        self.__dict__.update(state)
-        self.iso_column.flags.writeable = False
-        self.rssi.flags.writeable = self.ber.flags.writeable = False
 
     @cached_property
     def timestamps(self) -> tuple[datetime, ...]:

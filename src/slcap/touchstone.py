@@ -16,8 +16,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import _cpus
-from ._frozen import freeze_arrays
-from ._options import ENCODINGS, SPLITLINES_ONLY, UNIT_SCALE, check_positive
+from ._frozen import Frozen, freeze_arrays
+from ._options import ENCODINGS, SPLITLINES_ONLY, UNIT_SCALE, LineError, check_positive
 
 __all__ = [
     "NetworkData",
@@ -47,12 +47,8 @@ PASSIVITY_TOL = 1e-9
 _DB_SAFE = 6000.0
 
 
-class TouchstoneParseError(ValueError):
+class TouchstoneParseError(LineError):
     """Raised for any input outside the accepted grammar; carries the line number."""
-
-    def __init__(self, line_number: int, message: str):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,7 @@ def _check_sweep(f: np.ndarray) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class NetworkData:
+class NetworkData(Frozen):
     """Frequency sweep of scattering matrices against a real reference impedance.
 
     ``s`` has shape (n_points, n_ports, n_ports) with ``s[k, i, j]`` holding

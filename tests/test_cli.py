@@ -882,7 +882,7 @@ COMMAND_MODULES = {
     "analyze": {"touchstone", "impedance", "metrics", "_frozen"},
     "match": {"touchstone", "impedance", "matching", "_frozen"},
     "pattern": {"radiation", "_frozen"},
-    "rssi": {"rssi"},
+    "rssi": {"rssi", "_frozen"},
     "synth": {"touchstone", "impedance", "_frozen"},
 }
 

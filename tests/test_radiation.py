@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -602,6 +603,34 @@ class TestReferenceEquivalence:
             sys.setswitchinterval(interval)
 
 
+# A lattice block keeps one table per distinct x (or y), each of its rows by all phi: a
+# 32 x 32 lattice at a 0.25 deg phi step would hold 11.8 MB of them in 16 rows, and peak
+# above 14 MB.  ``_TABLE_BYTES`` (4 MiB) cuts its blocks to 5 rows; the 8 x 8 lattice of the
+# benchmark needs 2.9 MB and keeps 16.  The bound is on one thread's peak.
+@pytest.mark.parametrize("n, block_rows", [(8, 16), (32, 5)])
+def test_lattice_tables_keep_to_their_budget(n, block_rows, monkeypatch):
+    monkeypatch.setattr(_cpus, "_usable_cpus", lambda: 1)
+    original, row_counts = radiation._pattern_rows, []
+
+    def rows(u, *args):
+        row_counts.append(u.shape[0])
+        original(u, *args)
+
+    monkeypatch.setattr(radiation, "_pattern_rows", rows)
+    ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    layout = layout_of(np.column_stack([ix.ravel(), iy.ravel(), np.zeros(n * n)]) * 0.5)
+    theta, phi = make_grid(10.0, 0.25)
+    tracemalloc.start()
+    try:
+        got = evaluate_pattern(layout, theta, phi).u
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert row_counts == [block_rows] * (theta.size // block_rows) + [theta.size % block_rows]
+    assert got.tobytes() == reference_factored_pattern(layout, theta, phi).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Both paths against an extended-precision evaluation
 #
@@ -922,3 +951,8 @@ class TestParseLayout:
         with pytest.raises(ValueError) as info:
             radiation.parse_layout(text)
         assert str(info.value) == message
+
+    def test_json_syntax_error_carries_its_line(self):
+        with pytest.raises(ValueError) as info:
+            radiation.parse_layout('{"frequency_hz": 1e9,\n\n "positions": [[0, 0, 0]]')
+        assert info.value.line_number == 3 and str(info.value).startswith("line 3: ")

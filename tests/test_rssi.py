@@ -396,3 +396,8 @@ class TestSampleValidation:
                 column[0] = 5
         assert ds == ds and ds != parse_at_csq_log(cases.NOVEL_LOG)
         hash(ds)
+
+    def test_repr_builds_no_timestamp_tuple(self):
+        ds = parse_at_csq_log(cases.NOVEL_LOG)
+        assert "RssiDataset" in repr(ds)
+        assert "timestamps" not in vars(ds) and "iso_timestamps" not in vars(ds)
