@@ -21,7 +21,11 @@ def freeze_arrays(obj, **values) -> None:
 
 
 class Frozen:
-    """Base of the frozen result types: a copy or an unpickled object is read-only too."""
+    """Base of the frozen result types: their arrays are read-only, in a copy or an unpickled
+    object too.  A type that checks or converts its fields defines its own ``__post_init__``."""
+
+    def __post_init__(self):
+        freeze_arrays(self)
 
     def __setstate__(self, state):
         freeze_arrays(self, **state)

@@ -20,45 +20,31 @@ from dataclasses import dataclass, fields
 from importlib import import_module
 from pathlib import Path
 
-from . import __version__, _cpus
+from . import _MODULES, __version__, _cpus
 from ._options import (ENCODINGS, FIXTURE_MODES, REACTANCE_EPSILON, REFLECTION,
                        SERIES_RESISTOR, SERIES_THROUGH, TOPOLOGIES, UNIT_SCALE, grid_shape)
 from .report import num, report_text
 
-# What this module calls of each numeric module.  None is imported with this module:
-# each command binds its modules' names here when it runs (``_bind``), and any other
-# reader, such as the per-layer trace (bench/layers.py) or a test, on first access
-# (PEP 562).  So --help, --version and usage errors load no numpy.
-_CALLEES = {
-    "touchstone": ("TouchstoneFormat", "_magnitude", "_parse_file", "parse_touchstone",
-                   "validate_passivity", "write_touchstone_file",
-                   "write_touchstone"),  # unused here; the per-layer trace wraps it by name
-    "impedance": ("SeriesRlcModel", "impedance_at", "impedance_profile", "synthesize_series_rlc"),
-    "metrics": ("metrics_report",),
-    "matching": ("apply_match", "design_l_section", "design_series_resistive_match",
-                 "power_split_report", "vswr_profile"),
-    "radiation": ("directivity", "evaluate_pattern", "find_lobes", "gain", "make_grid",
-                  "parse_layout", "polar_cut"),
-    "rssi": ("ComparisonError", "check_dbm_mapping", "compare_datasets", "dbm_levels",
-             "parse_at_csq_log", "parse_rssi_csv"),
-    "svgplot": ("line_plot_svg",),
-}
-
-
+# None of the numeric modules is imported with this module: each command binds here the
+# public names (``__all__``) of the modules it runs (``_bind``), and any other reader, such
+# as the per-layer trace (bench/layers.py) or a test, on first access (PEP 562).  So
+# --help, --version and usage errors load no numpy.
 def _bind(*modules: str) -> None:
-    """Import numpy as ``np`` and ``modules``, and bind here each of their names that this
-    module calls, except where a name is bound already (by a tracer's wrapper, say)."""
+    """Import numpy as ``np`` and ``modules``, and bind here each name in their ``__all__``,
+    except where a name is bound already (by a tracer's wrapper, say)."""
     globals().setdefault("np", import_module("numpy"))
     for module in modules:
         found = import_module(f".{module}", __package__)
-        for name in _CALLEES[module]:
+        for name in found.__all__:
             globals().setdefault(name, getattr(found, name))
 
 
 def __getattr__(name: str):
-    for module, names in _CALLEES.items():
-        if name in names:
-            _bind(module)
+    # A private name is not looked up in the numeric modules: ``from .cli import main``
+    # makes the import system probe ``__path__`` here, and that must load no numpy.
+    for module in () if name.startswith("_") else (*_MODULES, "svgplot"):
+        _bind(module)
+        if name in globals():
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -158,8 +144,6 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     try:
         return RunConfig(**values)
     except InputError as exc:
-        if not exc.keys:
-            raise
         where = " and ".join(origins.get(key, "default") for key in exc.keys)
         raise InputError(f"{where}: {exc}") from None
 
@@ -236,7 +220,8 @@ def write_metrics_csv(path: Path, metrics) -> None:
 
 
 def write_vswr_csv(path: Path, vswr) -> None:
-    _bind("touchstone")
+    from .touchstone import _magnitude
+
     g = vswr.gamma
     columns = [vswr.frequencies_hz, g.real, g.imag, _magnitude(g), vswr.vswr]
     _write_csv(path, ["freq_hz", "re_gamma", "im_gamma", "mag_gamma", "vswr"], columns)
@@ -368,6 +353,8 @@ def _parse_input(path: str, parse, from_path=None, **kw):
 
 
 def _profile_from_file(path: str, cfg: RunConfig):
+    from .touchstone import _parse_file
+
     net = _parse_input(path, parse_touchstone, from_path=_parse_file)
     for line in validate_passivity(net):
         warnings.warn(line)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import Frozen, freeze_arrays
+from ._frozen import Frozen
 from ._options import L_SECTION, SERIES_RESISTOR, TOPOLOGIES, check_non_negative, check_positive
 from .impedance import ImpedanceProfile, _reflection, impedance_at
 from .touchstone import _magnitude
@@ -114,9 +114,6 @@ class VswrProfile(Frozen):
     unbounded: np.ndarray
     z0_ohm: float
 
-    def __post_init__(self):
-        freeze_arrays(self)
-
     def at(self, f_hz: float) -> float:
         """Linearly interpolated VSWR at a frequency inside the sweep."""
         f = self.frequencies_hz
@@ -140,9 +137,6 @@ class PowerSplit(Frozen):
     resistor_fraction: np.ndarray
     reflected_fraction: np.ndarray
     mismatch_loss_db: np.ndarray
-
-    def __post_init__(self):
-        freeze_arrays(self)
 
 
 def design_series_resistive_match(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import Frozen, freeze_arrays
+from ._frozen import Frozen
 from ._options import REACTANCE_EPSILON, check_positive
 from .impedance import ImpedanceProfile
 
@@ -54,9 +54,6 @@ class CapacitorMetrics(Frozen):
     efficiency: np.ndarray
     q: np.ndarray
     df_defined: np.ndarray
-
-    def __post_init__(self):
-        freeze_arrays(self)
 
 
 @dataclass(frozen=True)

@@ -672,6 +672,31 @@ BAD_INPUTS = {
         )
         for value in ("nan", "inf")
     },
+    # These name the whole rejection: it ends its line.
+    "element_not_an_object": (
+        {"layout.json": json.dumps({**LAYOUT, "element": 5})},
+        ["pattern", "--layout", "@layout.json"], 2,
+        "layout.json: element must be a JSON object\n",
+    ),
+    "element_unknown_key": (
+        {"layout.json": json.dumps({**LAYOUT, "element": {"kind": "isotropic", "colour": 1}})},
+        ["pattern", "--layout", "@layout.json"], 2, "layout.json: unknown element keys: colour\n",
+    ),
+    "footprint_two_dimensions": (
+        {"layout.json": json.dumps({**LAYOUT, "element": {"footprint_mm": [1, 2]}})},
+        ["pattern", "--layout", "@layout.json"], 2,
+        "layout.json: footprint_mm must hold three dimensions\n",
+    ),
+    "position_infinite": (
+        {"layout.json": json.dumps({**LAYOUT, "positions": [[0.0, 0.0, float("inf")]]})},
+        ["pattern", "--layout", "@layout.json"], 2,
+        "layout.json: positions and weights must be finite\n",
+    ),
+    **{
+        f"sweep_{name}": ({}, [*SYNTH, "--sweep", spec], 2,
+                          "error: argument --sweep: sweep must be start:stop:points\n")
+        for name, spec in (("two_parts", "1:2"), ("not_numbers", "a:b:c"))
+    },
     "weight_pair_not_numeric": (
         {"layout.json": json.dumps({**LAYOUT, "weights": [["a", 1], 1]})},
         ["pattern", "--layout", "@layout.json"], 2, "layout.json",
@@ -787,10 +812,10 @@ BAD_INPUTS = {
             {"novel.log": cases.NOVEL_LOG, "baseline.log": cases.BASELINE_LOG},
             ["rssi", "@novel.log", "@baseline.log", "--novel-area-mm2", "2",
              "--baseline-area-mm2", "2", f"--{side}-area-mm2", value],
-            2, f"--{side}-area-mm2",
+            2, f"argument --{side}-area-mm2: area must be positive and finite, got {value!r}\n",
         )
         for side in ("novel", "baseline")
-        for value in ("nan", "inf", "-1", "0")
+        for value in ("nan", "inf", "-1", "0", "abc")
     },
 }
 
@@ -828,8 +853,8 @@ def test_traced_names_resolve():
     """Each function that the per-layer trace (``bench/layers.py``) patches by name exists.
 
     ``WRAPPED`` is read from the file's syntax tree, so nothing under ``bench/`` is
-    imported.  It names ``cli.write_touchstone``, which ``cli`` imports only for the
-    trace; that import goes when the trace wraps functions on their own modules.
+    imported.  It names ``cli.write_touchstone``, which ``cli`` never calls: a command
+    binds it there because it is in ``touchstone.__all__``.
     """
     wrapped = traced_names()
     missing = [
